@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -19,6 +18,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .metrics import (
+    BitsSummary,
     active_fraction,
     default_window,
     delay_embed,
@@ -35,6 +35,7 @@ from .svgplot import heatmap_svg, line_chart_svg, raster_svg, scatter_svg
 from .sweep import (
     build_network,
     cell_seeds,
+    focused_grid,
     run_grid,
     top_recurrent,
     write_manifest,
@@ -184,7 +185,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_and_write(grid, out: Path, workers, figures: bool, label: str) -> None:
+def _run_and_write(
+    grid, out: Path, workers, figures: bool, label: str
+) -> list[BitsSummary]:
     records = run_grid(grid, workers=workers)
     summaries = summarize(records)
     write_records_csv(records, out / "records.csv")
@@ -193,6 +196,7 @@ def _run_and_write(grid, out: Path, workers, figures: bool, label: str) -> None:
     if figures:
         _write_sweep_figures(out, summaries, label)
     print(f"{len(records)} runs -> {out}")
+    return summaries
 
 
 def cmd_sweep(args) -> int:
@@ -209,29 +213,12 @@ def cmd_focused(args) -> int:
     overrides = _grid_overrides(args)
     overrides.pop("bits", None)  # raw flag string; parsed into the grid below
     config = load_config(args.config, overrides)
-    grid = dataclasses.replace(
-        config.grid,
-        sizes=[args.n],
-        densities=[args.density],
-        bit_widths=(
-            parse_int_list(args.bits) if args.bits else config.grid.bit_widths
-        ),
-        seeds_per_cell=args.seeds,
-    )
-    grid.validate()
-    if grid.seeds_per_cell < 2:
-        raise ValueError("focused runs need at least 2 seeds per cell")
+    bit_widths = parse_int_list(args.bits) if args.bits else None
+    grid = focused_grid(config.grid, bit_widths, args.n, args.density, args.seeds)
     workers = _resolve_workers(args.workers, config.workers)
     out = _ensure_dir(args.out or config.output_dir)
-    records = run_grid(grid, workers=workers)
-    summaries = summarize(records)
-    write_records_csv(records, out / "records.csv")
-    write_summary_csv(summaries, out / "summary.csv")
+    summaries = _run_and_write(grid, out, workers, config.figures, "focused")
     write_focused_csv(summaries, out / "focused_summary.csv")
-    write_manifest(grid, out / "manifest.json")
-    if config.figures:
-        _write_sweep_figures(out, summaries, "focused")
-    print(f"{len(records)} runs -> {out}")
     return 0
 
 

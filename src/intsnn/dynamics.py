@@ -66,27 +66,39 @@ def simulate(net: Network, init: NetworkState, horizon: int) -> Trajectory:
     )
 
 
-def detect_cycle(net: Network, init: NetworkState, horizon: int) -> CycleReport:
+def first_revisit(
+    net: Network, init: NetworkState, horizon: int
+) -> tuple[list[np.ndarray], CycleReport]:
     """First-visit recurrence scan over the full (v, s) state.
 
     Keeps a map from visited state to first-visit time; on the first
     revisit at time t2 of a state first seen at t1 it reports transient
     t1 and period t2 - t1. The first repeat of a deterministic map is
-    always the cycle entry state, so the transient is exact.
+    always the cycle entry state, so the transient is exact. Also
+    returns the spike vectors of steps 1..t2, or of all `horizon` steps
+    when censored.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     v = np.asarray(init.v)
     s = np.asarray(init.s)
     seen = {net.state_key(v, s): 0}
+    rows = []
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
+        rows.append(s)
         key = net.state_key(v, s)
         first = seen.get(key)
         if first is not None:
-            return CycleReport(DETECTED, transient=first, period=t - first)
+            return rows, CycleReport(DETECTED, transient=first, period=t - first)
         seen[key] = t
-    return CycleReport(CENSORED)
+    return rows, CycleReport(CENSORED)
+
+
+def detect_cycle(net: Network, init: NetworkState, horizon: int) -> CycleReport:
+    """Transient and period of the trajectory from `init`, or censored
+    when no state repeats within `horizon` steps."""
+    return first_revisit(net, init, horizon)[1]
 
 
 @dataclass
@@ -161,20 +173,16 @@ def encode_state(net: Network, state: NetworkState) -> int:
 
 
 def _successor_indices(net: Network, total: int) -> np.ndarray:
-    """Successor index for every state, computed in vectorized chunks."""
+    """Successor index for every state, stepped in vectorized chunks.
+
+    The enumeration budget keeps the lattice small, so digits and codes
+    fit in int64 even when the network steps in object mode.
+    """
     n = net.n
     card = net.domain.cardinality
     lo = net.domain.min_value
     reset = net.reset_mode != RESET_NONE
     succ = np.empty(total, dtype=np.int64)
-
-    if net._object_mode:
-        for idx in range(total):
-            state = decode_state(net, idx)
-            v, s = net.step_arrays(state.v, state.s)
-            succ[idx] = encode_state(net, NetworkState(v=v, s=s))
-        return succ
-
     v_radix = card ** np.arange(n - 1, -1, -1, dtype=np.int64)
     s_radix = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     chunk = 1 << 15
@@ -188,19 +196,11 @@ def _successor_indices(net: Network, total: int) -> np.ndarray:
         for col in range(n - 1, -1, -1):
             rem, digit = np.divmod(rem, card)
             v[:, col] = digit + lo
+        v = v.astype(net.state_dtype, copy=False)
         if not reset:
-            s = (v >= net._th_exec[None, :]).astype(np.int64)
-
-        acc = s @ net._w_exec.T
-        raw = (v - (v >> net.leak_k)) + acc
-        v_next = net._clamp_vec(raw)
-        fired = v_next >= net._th_exec[None, :]
-        s_next = fired.astype(np.int64)
-        if reset:
-            v_next = np.where(
-                fired, net._clamp_vec(v_next - net._th_exec[None, :]), v_next
-            )
-        out = (v_next - lo) @ v_radix
+            s = net.spikes_of(v)
+        v_next, s_next = net.step_arrays(v, s)
+        out = (v_next - lo).astype(np.int64, copy=False) @ v_radix
         if reset:
             out = out * (1 << n) + s_next @ s_radix
         succ[idx] = out

@@ -169,12 +169,10 @@ class Network:
         int64_ok = all(_I64_MIN <= x <= _I64_MAX for x in reach)
 
         self._object_mode = not int64_ok
-        if int64_ok:
-            self._w_exec = w.astype(np.int64, copy=False)
-            self._th_exec = np.asarray(self.thresholds, dtype=np.int64)
-        else:
-            self._w_exec = w.astype(object)
-            self._th_exec = np.asarray(self.thresholds, dtype=object)
+        # Stored transposed once: the kernel's s.dot(W^T) serves one
+        # state and a batch alike without a transposed view per call.
+        self._wt_exec = np.ascontiguousarray(w.T, dtype=self.state_dtype)
+        self._th_exec = np.asarray(self.thresholds, dtype=self.state_dtype)
         self._lo = d.min_value
         self._hi = d.max_value
         self._card = d.cardinality
@@ -189,8 +187,12 @@ class Network:
         return (raw - self._lo) % self._card + self._lo
 
     def step_arrays(self, v: np.ndarray, s: np.ndarray):
-        """One update on raw arrays; returns the new (v, s) pair."""
-        acc = self._w_exec.dot(s)
+        """One update on raw arrays; returns the new (v, s) pair.
+
+        v and s have shape (n,) for one state or (..., n) for a batch;
+        every leading index is stepped independently.
+        """
+        acc = s.dot(self._wt_exec)
         raw = (v - (v >> self.leak_k)) + acc
         v_next = self._clamp_vec(raw)
         fired = v_next >= self._th_exec

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .arith import IntegerDomain
-from .dynamics import CENSORED, DETECTED, CycleReport
+from .dynamics import DETECTED, CycleReport, first_revisit
 from .metrics import (
     BitsSummary,
     MetricsRecord,
@@ -77,8 +78,22 @@ class SweepGrid:
 
     def validate(self) -> None:
         for name in ("sizes", "densities", "bit_widths"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            # Equal values would emit duplicate run_ids.
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate values: {values}")
+        for n in self.sizes:
+            if n < 1:
+                raise ValueError(f"sizes must be >= 1, got {n}")
+        for density in self.densities:
+            # -0.0 would key different seeds than 0.0 and format as "-0".
+            if not 0.0 <= density <= 1.0 or math.copysign(1.0, density) < 0:
+                raise ValueError(f"densities must lie in [0, 1], got {density}")
+        for bits in self.bit_widths:
+            if not 1 <= bits <= 64:
+                raise ValueError(f"bit_widths must lie in 1..64, got {bits}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.seeds_per_cell < 1:
@@ -163,56 +178,28 @@ def _measure_run(
     trajectory is periodic, so spike totals, the active set, and the
     tail window are reconstructed exactly from the recorded prefix.
     """
-    v = np.asarray(init.v)
-    s = np.asarray(init.s)
-    seen = {net.state_key(v, s): 0}
-    rows: list[np.ndarray] = [np.empty(0)]  # rows[t] = spike row of step t
-    counts = [0]
-    mu = period = None
-    t = 0
-    while t < horizon:
-        v, s = net.step_arrays(v, s)
-        t += 1
-        row = np.asarray(s, dtype=np.uint8)
-        rows.append(row)
-        counts.append(int(row.sum()))
-        key = net.state_key(v, s)
-        first = seen.get(key)
-        if first is not None:
-            mu, period = first, t - first
-            break
-        seen[key] = t
-    t2 = t
+    rows, cycle = first_revisit(net, init, horizon)
+    prefix = np.array(rows, dtype=np.uint8)
+    t2 = len(prefix)
+    counts = prefix.sum(axis=1).tolist()
+    total = sum(counts)
+    if cycle.status == DETECTED:
+        # Step t2 + j repeats step mu + j, so the steps after t2 cycle
+        # through the counts of steps mu + 1 .. t2.
+        cycle_counts = counts[cycle.transient :]
+        laps, rest = divmod(horizon - t2, cycle.period)
+        total += laps * sum(cycle_counts) + sum(cycle_counts[:rest])
 
-    def row_at(step_t: int) -> int:
-        if step_t <= t2:
-            return step_t
-        m = mu + ((step_t - mu) % period)
-        # m == 0 only when mu == 0; the start state equals state t2 then.
-        return t2 if m == 0 else m
-
-    if mu is None:
-        total = sum(counts)
-        cycle = CycleReport(CENSORED)
-    else:
-        total = sum(counts[1 : t2 + 1])
-        remaining = horizon - t2
-        if remaining:
-            cycle_counts = [counts[row_at(t2 + 1 + j)] for j in range(period)]
-            total += (remaining // period) * sum(cycle_counts)
-            total += sum(cycle_counts[: remaining % period])
-        cycle = CycleReport(DETECTED, transient=mu, period=period)
-
-    prefix = np.stack(rows[1 : t2 + 1])
     rate = total / (horizon * net.n)
     active = float(np.count_nonzero(prefix.any(axis=0))) / net.n
     if window <= 0:
         rank = 0
     else:
-        tail_index = np.array(
-            [row_at(step_t) for step_t in range(horizon - window + 1, horizon + 1)]
-        )
-        rank = pseudo_rank(prefix[tail_index - 1], window=window)
+        steps = np.arange(horizon - window + 1, horizon + 1)
+        if cycle.status == DETECTED:
+            mu, late = cycle.transient, steps > t2
+            steps[late] = mu + 1 + (steps[late] - mu - 1) % cycle.period
+        rank = pseudo_rank(prefix[steps - 1], window=window)
     return rate, active, rank, cycle
 
 
@@ -264,21 +251,26 @@ def run_grid(grid: SweepGrid, workers: int | None = None) -> list[MetricsRecord]
 
 
 def focused_grid(
+    base: SweepGrid,
     bit_widths: list[int] | None = None,
     n: int = FOCUSED_SIZE,
     density: float = FOCUSED_DENSITY,
     seeds: int = FOCUSED_SEEDS,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    horizon: int = 1000,
 ) -> SweepGrid:
-    return SweepGrid(
+    """`base` narrowed to one size and density, with `seeds` initial
+    conditions per bit width; `bit_widths` defaults to the base's.
+    Validated, and refused for fewer than 2 seeds."""
+    if seeds < 2:
+        raise ValueError(f"need at least 2 seeds for spread, got {seeds}")
+    grid = replace(
+        base,
         sizes=[n],
         densities=[density],
-        bit_widths=list(bit_widths) if bit_widths else list(DEFAULT_BITS),
-        horizon=horizon,
+        bit_widths=list(bit_widths or base.bit_widths),
         seeds_per_cell=seeds,
-        master_seed=master_seed,
     )
+    grid.validate()
+    return grid
 
 
 def run_focused(
@@ -296,9 +288,8 @@ def run_focused(
     the starting state stream varies. Needs seeds >= 2 so the reported
     firing-rate spread is meaningful.
     """
-    if seeds < 2:
-        raise ValueError(f"need at least 2 seeds for spread, got {seeds}")
-    grid = focused_grid(bit_widths, n, density, seeds, master_seed, horizon)
+    base = SweepGrid(horizon=horizon, master_seed=master_seed)
+    grid = focused_grid(base, bit_widths, n, density, seeds)
     records = run_grid(grid, workers=workers)
     return records, summarize(records)
 

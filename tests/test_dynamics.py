@@ -9,6 +9,7 @@ from intsnn.arith import IntegerDomain
 from intsnn.dynamics import (
     CENSORED,
     DETECTED,
+    _successor_indices,
     decode_state,
     detect_cycle,
     detection_mismatches,
@@ -203,6 +204,37 @@ def test_basins_partition_randomized_networks():
         report = enumerate_state_graph(net)
         assert sum(a.basin_size for a in report.attractors) == report.state_count
         assert int(np.bincount(report.attractor_ids).min()) >= 1
+
+
+def test_enumerate_object_mode_networks():
+    # A weight of 2^63 - 1 or a threshold of 2^63 forces Python-int
+    # stepping on a 3-bit lattice small enough to enumerate.
+    variants = [
+        ("signed", [[0, (1 << 63) - 1], [-3, 0]], np.array([3, 2])),
+        ("unsigned", [[0, 2], [-3, 0]], np.array([3, 1 << 63], dtype=object)),
+    ]
+    for signedness, weights, thresholds in variants:
+        for overflow in ("saturate", "wrap"):
+            for reset in ("none", RESET_SUBTRACT):
+                net = Network(
+                    n=2,
+                    weights=np.array(weights, dtype=np.int64),
+                    thresholds=thresholds,
+                    leak_k=1,
+                    domain=IntegerDomain(3, signedness, overflow),
+                    reset_mode=reset,
+                )
+                assert net.state_dtype is object
+                report = enumerate_state_graph(net)
+                basins = sum(a.basin_size for a in report.attractors)
+                assert basins == report.state_count == state_space_size(net)
+                assert detection_mismatches(net, report) == []
+                # successors agree with stepping one decoded state at a time
+                succ = _successor_indices(net, report.state_count)
+                for idx in range(report.state_count):
+                    state = decode_state(net, idx)
+                    v, s = net.step_arrays(state.v, state.s)
+                    assert succ[idx] == encode_state(net, NetworkState(v=v, s=s))
 
 
 def test_enumerate_budget_refusal():

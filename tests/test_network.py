@@ -244,6 +244,23 @@ def test_step_matches_reference_across_modes():
                         state = step(state, net)
                         assert [int(x) for x in state.v] == ref_v
                         assert [int(x) for x in state.s] == ref_s
+                    # a (B, n) batch steps every row as a single state would
+                    starts = [
+                        initial_state(net, seed=derive_seed(34, case, b))
+                        for b in range(5)
+                    ]
+                    batch_v = np.stack([st.v for st in starts])
+                    batch_s = np.stack([st.s for st in starts])
+                    for _ in range(4):
+                        rows = [
+                            net.step_arrays(v, s) for v, s in zip(batch_v, batch_s)
+                        ]
+                        batch_v, batch_s = net.step_arrays(batch_v, batch_s)
+                        assert batch_v.shape == batch_s.shape == (5, n)
+                        assert batch_v.dtype == net.state_dtype
+                        for (v, s), bv, bs in zip(rows, batch_v, batch_s):
+                            assert [int(x) for x in bv] == [int(x) for x in v]
+                            assert [int(x) for x in bs] == [int(x) for x in s]
 
 
 def test_object_mode_only_when_int64_could_overflow():

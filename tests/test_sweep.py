@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from intsnn.arith import IntegerDomain
-from intsnn.dynamics import detect_cycle, simulate
+from intsnn.dynamics import CENSORED, DETECTED, CycleReport, detect_cycle, simulate
 from intsnn.metrics import (
     active_fraction,
     default_window,
@@ -51,11 +51,22 @@ def naive_measurements(grid, n, density, bits, seed_idx):
     init = initial_state(net, init_seed)
     traj = simulate(net, init, grid.horizon)
     window = default_window(grid.horizon)
+    # First revisit over the recorded (v, s) rows, independent of the
+    # scan that detect_cycle and the sweep share.
+    spikes = [traj.s0, *traj.raster]
+    seen = {}
+    cycle = CycleReport(CENSORED)
+    for t, (v, s) in enumerate(zip(traj.states, spikes)):
+        key = (tuple(int(x) for x in v), tuple(int(x) for x in s))
+        if key in seen:
+            cycle = CycleReport(DETECTED, transient=seen[key], period=t - seen[key])
+            break
+        seen[key] = t
     return (
         firing_rate(traj.raster),
         active_fraction(traj.raster),
         pseudo_rank(traj.raster, window) if window else 0,
-        detect_cycle(net, init, grid.horizon),
+        cycle,
     )
 
 
@@ -75,6 +86,31 @@ def test_grid_validation():
         SweepGrid(horizon=0).validate()
     with pytest.raises(ValueError):
         SweepGrid(seeds_per_cell=0).validate()
+    # the boundary values themselves are accepted
+    tiny_grid(sizes=[1], densities=[0.0, 1.0], bit_widths=[1, 64]).validate()
+
+
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("sizes", [3, 3], "sizes has duplicate"),
+        ("densities", [0.5, 0.5], "densities has duplicate"),
+        ("densities", [0.0, -0.0], "densities has duplicate"),
+        ("bit_widths", [2, 4, 2], "bit_widths has duplicate"),
+        ("sizes", [0], "sizes must be >= 1"),
+        ("densities", [-0.0], "densities must lie in"),
+        ("densities", [1.5], "densities must lie in"),
+        ("densities", [float("nan")], "densities must lie in"),
+        ("bit_widths", [0], "bit_widths must lie in"),
+        ("bit_widths", [65], "bit_widths must lie in"),
+    ],
+)
+def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message):
+    grid = tiny_grid(**{field: values})
+    with pytest.raises(ValueError, match=message):
+        grid.validate()
+    with pytest.raises(ValueError, match=message):
+        run_grid(grid)
 
 
 def test_format_run_id():
@@ -210,8 +246,11 @@ def test_focused_runs_share_one_topology_per_bits():
     }
     (summary,) = summaries
     assert summary.run_count == 3
-    grid = focused_grid([3], n=8, density=0.5, seeds=3, horizon=30)
+    grid = focused_grid(SweepGrid(horizon=30), [3], n=8, density=0.5, seeds=3)
     assert grid.seeds_per_cell == 3
+    assert (grid.sizes, grid.densities, grid.bit_widths) == ([8], [0.5], [3])
+    with pytest.raises(ValueError):
+        focused_grid(SweepGrid(), [3], n=8, seeds=1)
     net0 = build_network(grid, 8, 0.5, 3)
     net1 = build_network(grid, 8, 0.5, 3)
     assert np.array_equal(net0.weights, net1.weights)
