@@ -54,6 +54,7 @@ from .metrics import (
 )
 from .sweep import (
     DEFAULT_MASTER_SEED,
+    CellError,
     SweepGrid,
     build_manifest,
     build_network,
@@ -82,7 +83,7 @@ __all__ = [
     "firing_rate", "active_fraction", "pseudo_rank", "delay_embed",
     "summarize", "default_window",
     "read_records_csv", "write_records_csv", "write_summary_csv",
-    "SweepGrid", "DEFAULT_MASTER_SEED",
+    "SweepGrid", "DEFAULT_MASTER_SEED", "CellError",
     "run_grid", "run_focused", "run_cell", "top_recurrent",
     "build_network", "cell_seeds", "build_manifest", "write_manifest",
     "Xoshiro256StarStar", "splitmix64", "derive_seed",

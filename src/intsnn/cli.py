@@ -33,6 +33,7 @@ from .metrics import (
 from .network import initial_state, network_to_json
 from .svgplot import heatmap_svg, line_chart_svg, raster_svg, scatter_svg
 from .sweep import (
+    CellError,
     build_network,
     cell_seeds,
     focused_grid,
@@ -40,17 +41,13 @@ from .sweep import (
     top_recurrent,
     write_manifest,
 )
+from .textio import write_text
 
 
 def _ensure_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _env_workers() -> int | None:
@@ -88,7 +85,7 @@ def _grid_overrides(args) -> dict[str, object]:
 def _write_sweep_figures(out: Path, summaries, label: str) -> None:
     bits = [s.bits for s in summaries]
     rates = [s.mean_firing_rate for s in summaries]
-    _write_text(
+    write_text(
         out / "firing_rate_vs_bits.svg",
         line_chart_svg(
             [(label, bits, rates)],
@@ -101,7 +98,7 @@ def _write_sweep_figures(out: Path, summaries, label: str) -> None:
         (s.bits, s.median_cycle) for s in summaries if s.median_cycle is not None
     ]
     if cycle_pts:
-        _write_text(
+        write_text(
             out / "cycle_vs_bits.svg",
             line_chart_svg(
                 [(label, [b for b, _ in cycle_pts], [c for _, c in cycle_pts])],
@@ -125,12 +122,12 @@ def cmd_simulate(args) -> int:
     out = _ensure_dir(args.out or config.output_dir)
 
     write_trajectory_csv(traj, out / "trajectory.csv")
-    _write_text(
+    write_text(
         out / "network.json",
         json.dumps(network_to_json(net), indent=2, sort_keys=True) + "\n",
     )
     if config.figures:
-        _write_text(
+        write_text(
             out / "connectivity.svg",
             heatmap_svg(net.weights, f"connectivity n={n} density={density:g}"),
         )
@@ -147,18 +144,18 @@ def cmd_simulate(args) -> int:
             (f"neuron {i}", steps, [int(x) for x in traj.states[:, i]])
             for i in trace_ids
         ]
-        _write_text(
+        write_text(
             out / "traces.svg",
             line_chart_svg(series, "membrane traces", "step", "potential"),
         )
-        _write_text(
+        write_text(
             out / "raster.svg",
             raster_svg(traj.raster, f"spike raster n={n} bits={bits}"),
         )
         if not 0 <= args.embed_neuron < n:
             raise ValueError(f"embed neuron {args.embed_neuron} outside 0..{n - 1}")
         pairs = delay_embed(traj.states[:, args.embed_neuron], args.tau)
-        _write_text(
+        write_text(
             out / "embedding.svg",
             scatter_svg(
                 pairs,
@@ -234,7 +231,7 @@ def cmd_oracle(args) -> int:
     mismatches = detection_mismatches(net, report)
     if args.out:
         out = _ensure_dir(args.out)
-        _write_text(
+        write_text(
             out / "oracle.json",
             json.dumps(oracle_json(net, report), indent=2, sort_keys=True) + "\n",
         )
@@ -357,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import RESET_NONE, Network, NetworkState
+from .textio import write_text
 
 DETECTED = "detected"
 CENSORED = "censored"
@@ -76,18 +77,21 @@ def first_revisit(
     t1 and period t2 - t1. The first repeat of a deterministic map is
     always the cycle entry state, so the transient is exact. Also
     returns the spike vectors of steps 1..t2, or of all `horizon` steps
-    when censored.
+    when censored, as uint8.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     v = np.asarray(init.v)
     s = np.asarray(init.s)
-    seen = {net.state_key(v, s): 0}
+    # Spikes are 0 or 1, so uint8 encodes them exactly; keys and rows
+    # then hold one byte per neuron for them, not eight.
+    seen = {net.state_key(v, s.astype(np.uint8)): 0}
     rows = []
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
-        rows.append(s)
-        key = net.state_key(v, s)
+        spikes = s.astype(np.uint8)
+        rows.append(spikes)
+        key = net.state_key(v, spikes)
         first = seen.get(key)
         if first is not None:
             return rows, CycleReport(DETECTED, transient=first, period=t - first)
@@ -334,5 +338,4 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         row_s = traj.raster[t - 1]
         for i in range(n):
             lines.append(f"{t},{i},{int(row_v[i])},{int(row_s[i])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CENSORED, DETECTED, CycleReport
+from .textio import write_text
 
 WINDOW_CAP = 500
 
@@ -91,9 +93,11 @@ def active_fraction(raster: np.ndarray) -> float:
 def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     """Exact rank over the rationals of the last `window` raster rows.
 
-    Computed by fraction-free integer elimination, so there is no
-    floating-point tolerance anywhere. Duplicate and all-zero rows and
-    all-zero columns are discarded first; neither changes the rank.
+    Duplicate and all-zero rows and all-zero columns are discarded
+    first; neither changes the rank. What is left is eliminated modulo
+    a prime, and a kernel certificate proves that rank exact; when the
+    certificate fails, fraction-free (Bareiss) elimination gives the
+    rank instead. There is no floating-point tolerance anywhere.
     `window` defaults to min(500, T // 2).
     """
     r = np.asarray(raster)
@@ -106,7 +110,11 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
         raise ValueError(f"window {window} exceeds horizon {horizon}")
     if window <= 0:
         return 0
-    tail = np.asarray(r[horizon - window :], dtype=np.int64)
+    tail = r[horizon - window :]
+    # Rows are deduplicated in their own dtype (uint8 for sweep rasters)
+    # and cast to int64 after; a safe cast keeps distinct rows distinct.
+    if not np.can_cast(tail.dtype, np.int64):
+        tail = tail.astype(np.int64)
     seen = set()
     kept = []
     for row in tail:
@@ -118,8 +126,138 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     if not kept:
         return 0
     mat = np.stack(kept)
-    mat = mat[:, mat.any(axis=0)]
-    return _fraction_free_rank([[int(x) for x in row] for row in mat])
+    return _modular_rank(mat[:, mat.any(axis=0)])
+
+
+# A prime below 2^31, so the product of two residues fits in int64.
+_P = 2**31 - 1
+# Rationals whose numerator and denominator are at most this bound in
+# absolute value have distinct images mod _P, since 2 * bound^2 < _P.
+_RECON_BOUND = 32767
+# Rows per block in the elimination and the kernel check. Small blocks
+# keep the temporaries, and the heap the allocator retains, small.
+_BLOCK = 64
+
+
+def _modular_rank(mat: np.ndarray) -> int:
+    """Rank over the rationals of an integer matrix, certified.
+
+    Elimination mod _P gives r = rank mod _P, and the rank over Q is at
+    least r, since a minor that is nonzero mod _P is nonzero. So r is
+    exact when it equals min(rows, cols). Otherwise each free column's
+    kernel vector is rebuilt from the reduced echelon form by rational
+    reconstruction (von zur Gathen & Gerhard, Modern Computer Algebra,
+    5.10) and checked exactly against `mat`; cols - r independent
+    kernel vectors prove the rank over Q is at most r. When a
+    reconstruction or a check fails, Bareiss elimination decides.
+    """
+    rows, cols = mat.shape
+    work = mat.astype(np.int64)
+    work %= _P
+    pivots = []
+    for col in range(cols):
+        top = len(pivots)
+        below = np.flatnonzero(work[top:, col]) + top
+        if below.size == 0:
+            continue
+        if below[0] != top:
+            work[[top, below[0]]] = work[[below[0], top]]
+        prow = work[top, col:]
+        prow *= pow(int(prow[0]), -1, _P)
+        prow %= _P
+        _eliminate(work, below[1:], col, prow)
+        pivots.append(col)
+        if len(pivots) == rows:
+            break
+    rank = len(pivots)
+    if rank == min(rows, cols):
+        return rank
+    # Reduce the echelon block alone; the rows below it are zero.
+    echelon = work[:rank]
+    for i in range(rank - 1, 0, -1):
+        col = pivots[i]
+        above = np.flatnonzero(echelon[:i, col])
+        _eliminate(echelon, above, col, echelon[i, col:])
+    basis = _kernel_basis(echelon, pivots)
+    if basis is None or not _annihilates(mat, basis):
+        return _fraction_free_rank(mat.tolist())
+    return rank
+
+
+def _eliminate(work: np.ndarray, targets, col: int, prow: np.ndarray) -> None:
+    """Clear column `col` of the rows `targets` mod _P by subtracting
+    multiples of `prow`, the pivot row from `col` on with pivot 1."""
+    for start in range(0, len(targets), _BLOCK):
+        part = targets[start : start + _BLOCK]
+        block = work[part, col:]
+        # Both factors are residues below 2^31, so the difference stays
+        # above -2^62 and one reduction suffices.
+        block -= np.multiply.outer(block[:, 0], prow)
+        block %= _P
+        work[part, col:] = block
+
+
+def _kernel_basis(echelon: np.ndarray, pivots: list[int]) -> np.ndarray | None:
+    """Integer matrix whose columns are kernel vectors of the matrix
+    with reduced echelon form `echelon` mod _P, one per free column;
+    None when an entry has no rational preimage within _RECON_BOUND.
+
+    The vector of free column f is 1 at f and -echelon[i, f] at
+    pivots[i], scaled by the common denominator. Its entry at f is
+    positive and its entries at the other free columns are zero, so
+    the vectors are independent. The matrix is int64 when every entry
+    is an integer already, and holds Python ints otherwise.
+    """
+    cols = echelon.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    entries = (-echelon[:, free]) % _P
+    entries[entries > _P // 2] -= _P
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    if np.abs(entries).max() <= _RECON_BOUND:
+        basis[pivots] = entries
+        return basis
+    basis = basis.astype(object)
+    for j, column in enumerate(entries.T.tolist()):
+        fracs = [
+            (x, 1) if abs(x) <= _RECON_BOUND else _rational(x % _P)
+            for x in column
+        ]
+        if None in fracs:
+            return None
+        scale = math.lcm(*(den for _, den in fracs))
+        basis[free[j], j] = scale
+        basis[pivots, j] = [num * (scale // den) for num, den in fracs]
+    return basis
+
+
+def _rational(a: int) -> tuple[int, int] | None:
+    """(num, den) with num = a * den mod _P, |num| <= _RECON_BOUND and
+    0 < den <= _RECON_BOUND, by the extended Euclidean algorithm; None
+    when there is none."""
+    r0, r1, t0, t1 = _P, a, 0, 1
+    while r1 > _RECON_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > _RECON_BOUND:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _annihilates(mat: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether mat @ basis == 0 exactly: in int64 when a bound shows no
+    partial sum can overflow, else in Python ints."""
+    largest = max(int(mat.max()), -int(mat.min()))
+    norm = int(np.abs(basis).sum(axis=0, dtype=object).max())
+    dtype = np.int64 if largest * norm < 2**63 else object
+    basis = basis.astype(dtype)
+    return not any(
+        (mat[start : start + _BLOCK].astype(dtype) @ basis).any()
+        for start in range(0, len(mat), _BLOCK)
+    )
 
 
 def _fraction_free_rank(work: list[list[int]]) -> int:
@@ -233,8 +371,7 @@ def write_records_csv(records: list[MetricsRecord], path) -> None:
                 )
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_records_csv(path) -> list[MetricsRecord]:
@@ -286,8 +423,7 @@ def write_summary_csv(summaries: list[BitsSummary], path) -> None:
                 )
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_focused_csv(summaries: list[BitsSummary], path) -> None:
@@ -300,5 +436,4 @@ def write_focused_csv(summaries: list[BitsSummary], path) -> None:
                 for x in (s.bits, s.mean_firing_rate, s.std_firing_rate, s.run_count)
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .arith import IntegerDomain
+from .arith import SATURATE, SIGNED, UNSIGNED, WRAP, IntegerDomain
 from .dynamics import DETECTED, CycleReport, first_revisit
 from .metrics import (
     BitsSummary,
@@ -20,6 +20,8 @@ from .metrics import (
     summarize,
 )
 from .network import (
+    RESET_NONE,
+    RESET_SUBTRACT,
     Network,
     NetworkState,
     generate_topology,
@@ -33,6 +35,7 @@ from .rng import (
     derive_seed,
     float_key,
 )
+from .textio import write_text
 
 # Default seed calibrated once alongside the weight range: the topology
 # instances it draws put the shipped focused cells in the active firing
@@ -77,13 +80,19 @@ class SweepGrid:
     reset_mode: str = "none"
 
     def validate(self) -> None:
-        for name in ("sizes", "densities", "bit_widths"):
-            values = getattr(self, name)
+        """Reject a grid that could not run, before any cell starts.
+        Messages name the config key (`bits`, `threshold_lo`, ...)."""
+        axes = (
+            ("sizes", self.sizes),
+            ("densities", self.densities),
+            ("bits", self.bit_widths),
+        )
+        for key, values in axes:
             if not values:
-                raise ValueError(f"{name} must be nonempty")
+                raise ValueError(f"{key} must be nonempty")
             # Equal values would emit duplicate run_ids.
             if len(set(values)) != len(values):
-                raise ValueError(f"{name} has duplicate values: {values}")
+                raise ValueError(f"{key} has duplicate values: {values}")
         for n in self.sizes:
             if n < 1:
                 raise ValueError(f"sizes must be >= 1, got {n}")
@@ -93,13 +102,37 @@ class SweepGrid:
                 raise ValueError(f"densities must lie in [0, 1], got {density}")
         for bits in self.bit_widths:
             if not 1 <= bits <= 64:
-                raise ValueError(f"bit_widths must lie in 1..64, got {bits}")
+                raise ValueError(f"bits must lie in 1..64, got {bits}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.seeds_per_cell < 1:
             raise ValueError(
                 f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}"
             )
+        if self.leak_k < 1:
+            raise ValueError(f"leak_k must be >= 1, got {self.leak_k}")
+        t_lo, t_hi = self.threshold_range
+        if t_lo < 1:
+            raise ValueError(f"threshold_lo must be >= 1, got {t_lo}")
+        if t_lo > t_hi:
+            raise ValueError(
+                f"threshold_lo {t_lo} exceeds threshold_hi {t_hi}"
+            )
+        w_lo, w_hi = self.weight_range
+        if w_lo > w_hi:
+            raise ValueError(f"weight_lo {w_lo} exceeds weight_hi {w_hi}")
+        if w_lo == w_hi == 0:
+            raise ValueError("weight_lo = weight_hi = 0 leaves no nonzero weight")
+        modes = (
+            ("signedness", self.signedness, (UNSIGNED, SIGNED)),
+            ("overflow_mode", self.overflow_mode, (SATURATE, WRAP)),
+            ("reset_mode", self.reset_mode, (RESET_NONE, RESET_SUBTRACT)),
+        )
+        for key, value, allowed in modes:
+            if value not in allowed:
+                raise ValueError(
+                    f"{key} must be one of {', '.join(allowed)}, got {value!r}"
+                )
 
     def cells(self) -> list[tuple[int, float, int, int]]:
         return [
@@ -179,7 +212,8 @@ def _measure_run(
     tail window are reconstructed exactly from the recorded prefix.
     """
     rows, cycle = first_revisit(net, init, horizon)
-    prefix = np.array(rows, dtype=np.uint8)
+    prefix = np.array(rows)
+    del rows  # freed before the rank runs, which lowers the peak heap
     t2 = len(prefix)
     counts = prefix.sum(axis=1).tolist()
     total = sum(counts)
@@ -226,8 +260,18 @@ def run_cell(
     )
 
 
+class CellError(RuntimeError):
+    """A grid cell raised; the message names the cell's run_id."""
+
+
 def _run_cell_args(args) -> MetricsRecord:
-    return run_cell(*args)
+    grid, *cell = args
+    try:
+        return run_cell(grid, *cell)
+    except Exception as exc:
+        raise CellError(
+            f"cell {format_run_id(*cell)} failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def run_grid(grid: SweepGrid, workers: int | None = None) -> list[MetricsRecord]:
@@ -235,17 +279,17 @@ def run_grid(grid: SweepGrid, workers: int | None = None) -> list[MetricsRecord]
 
     Records are independent of worker count and scheduling: each cell
     derives its own seeds from the master seed, and aggregation sorts by
-    run_id before returning.
+    run_id before returning. A cell that raises, in this process or in
+    a pool worker, is raised again as a CellError naming its run_id.
     """
     grid.validate()
-    cells = grid.cells()
-    if workers is not None and workers > 1 and len(cells) > 1:
-        jobs = [(grid, *cell) for cell in cells]
+    jobs = [(grid, *cell) for cell in grid.cells()]
+    if workers is not None and workers > 1 and len(jobs) > 1:
         chunk = max(1, len(jobs) // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
             records = pool.map(_run_cell_args, jobs, chunksize=chunk)
     else:
-        records = [run_cell(grid, *cell) for cell in cells]
+        records = [_run_cell_args(job) for job in jobs]
     records.sort(key=lambda r: r.run_id)
     return records
 
@@ -342,5 +386,4 @@ def build_manifest(grid: SweepGrid) -> dict:
 
 def write_manifest(grid: SweepGrid, path) -> None:
     text = json.dumps(build_manifest(grid), indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    write_text(path, text + "\n")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from intsnn import metrics
 from intsnn.dynamics import CycleReport
 from intsnn.metrics import (
     FOCUSED_COLUMNS,
@@ -111,6 +112,110 @@ def test_pseudo_rank_matches_fraction_elimination():
         assert 0 <= rank <= min(rows, cols)
 
 
+@pytest.fixture
+def rank_paths(monkeypatch):
+    """Counts, while the test runs, of kernel checks that passed and of
+    Bareiss fallbacks."""
+    counts = {"certified": 0, "fallback": 0}
+    annihilates = metrics._annihilates
+    fraction_free_rank = metrics._fraction_free_rank
+
+    def check(mat, basis):
+        passed = annihilates(mat, basis)
+        counts["certified"] += passed
+        return passed
+
+    def fallback(work):
+        counts["fallback"] += 1
+        return fraction_free_rank(work)
+
+    monkeypatch.setattr(metrics, "_annihilates", check)
+    monkeypatch.setattr(metrics, "_fraction_free_rank", fallback)
+    return counts
+
+
+def planted_matrix(rng, rows, cols):
+    """Random 0/1 matrix with some columns copied or summed from others
+    and some rows summed from pairs with disjoint supports."""
+    mat = (rng.random((rows, cols)) < rng.uniform(0.1, 0.6)).astype(np.int64)
+    for _ in range(int(rng.integers(0, cols // 3 + 1))):
+        a, b, c = rng.integers(0, cols, size=3)
+        mat[:, c] = mat[:, a]
+        if a != b and a != c and b != c:
+            mat[:, b] &= 1 - mat[:, a]  # keep the sum 0/1
+            mat[:, c] = mat[:, a] + mat[:, b]
+    for _ in range(int(rng.integers(0, rows // 3 + 1))):
+        a, b, c = rng.integers(0, rows, size=3)
+        if len({a, b, c}) == 3:
+            mat[b] &= 1 - mat[a]
+            mat[c] = mat[a] + mat[b]
+    return mat
+
+
+def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
+    rng = np.random.default_rng(2024)
+    shortcut = 0
+    for case in range(60):
+        rows = int(rng.integers(1, 201 if case % 4 == 0 else 41))
+        cols = int(rng.integers(1, 61 if case % 4 == 0 else 21))
+        mat = planted_matrix(rng, rows, cols)
+        before = dict(rank_paths)
+        assert pseudo_rank(mat, window=rows) == fraction_rank(mat)
+        shortcut += rank_paths == before
+    # Both the full-rank shortcut and the kernel certificate decided
+    # many cases. A dense near-square matrix can have kernel entries
+    # beyond the reconstruction bound; it falls back by design.
+    assert shortcut >= 10
+    assert rank_paths["certified"] >= 20
+    assert rank_paths["fallback"] <= 1
+
+
+def test_pseudo_rank_falls_back_when_certificate_fails(rank_paths, monkeypatch):
+    # The kernel vector (-40000, 1) has no preimage within the
+    # reconstruction bound, so the certificate cannot be built.
+    mat = np.array([[1, 40000], [2, 80000], [3, 120000]])
+    assert pseudo_rank(mat, window=3) == 1
+    assert rank_paths["fallback"] == 1
+
+    # A wrong kernel vector must fail the exact check, not pass as a
+    # rank: (1, 1, 1) is no kernel vector of this rank-2 matrix.
+    mat = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+    monkeypatch.setattr(
+        metrics, "_kernel_basis", lambda echelon, pivots: np.ones((3, 1), np.int64)
+    )
+    assert pseudo_rank(mat, window=3) == 2 == fraction_rank(mat)
+    assert rank_paths["fallback"] == 2
+
+    # Nor may a product that is nonzero only beyond int64: here
+    # mat @ (2^62, 2^62) = (2^65, 2^66), which wraps to 0 in int64.
+    mat = np.array([[4, 4], [8, 8]])
+    monkeypatch.setattr(
+        metrics, "_kernel_basis", lambda echelon, pivots: np.full((2, 1), 1 << 62)
+    )
+    assert pseudo_rank(mat, window=2) == 1
+    assert rank_paths["fallback"] == 3
+
+
+def test_pseudo_rank_negative_and_large_entries(rank_paths):
+    rng = np.random.default_rng(5)
+    big = 1 << 60
+    base = rng.integers(-big, big, size=(6, 2))
+    # Column 2 = column 0 + 2 * column 1: the kernel (1, 2, -1) is
+    # small, but entries times its norm pass 2^63, so the check runs in
+    # Python ints.
+    mat = np.column_stack([base, base[:, 0] + 2 * base[:, 1]])
+    assert int(np.abs(mat).max()) * 4 >= 2**63
+    assert pseudo_rank(mat, window=6) == 2 == fraction_rank(mat)
+    # Rational kernel (1/2, 1) over negative entries: reconstruction
+    # with a denominator, then the exact check.
+    half = np.array([[2, -1], [-4, 2], [6, -3], [-8, 4]])
+    assert pseudo_rank(half, window=4) == 1 == fraction_rank(half)
+    rand = rng.integers(-(1 << 40), 1 << 40, size=(5, 4))
+    assert pseudo_rank(rand, window=5) == fraction_rank(rand)
+    assert rank_paths["certified"] == 2
+    assert rank_paths["fallback"] == 0
+
+
 def test_delay_embed():
     assert delay_embed([1, 2, 3, 4], 1) == [(1, 2), (2, 3), (3, 4)]
     assert delay_embed([1, 2, 3, 4], 3) == [(1, 4)]
@@ -171,6 +276,18 @@ def test_records_csv_round_trip(tmp_path):
     # censored rows leave the transient and period cells empty
     assert text.splitlines()[2].endswith("censored,,")
     assert read_records_csv(path) == records
+
+
+def test_records_csv_write_is_all_or_nothing(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv([make_record(4, run_id="a")], path)
+    written = path.read_bytes()
+    # The second write fails while encoding; the first file stays whole
+    # and no temporary file is left beside it.
+    with pytest.raises(UnicodeEncodeError):
+        write_records_csv([make_record(4, run_id="b\udc80")], path)
+    assert path.read_bytes() == written
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
 def test_records_csv_rejects_foreign_header(tmp_path):

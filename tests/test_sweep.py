@@ -13,9 +13,11 @@ from intsnn.metrics import (
     firing_rate,
     pseudo_rank,
 )
+from intsnn import sweep
 from intsnn.network import Network, NetworkState, initial_state
 from intsnn.sweep import (
     DEFAULT_MASTER_SEED,
+    CellError,
     VARIANT_PRESETS,
     SweepGrid,
     _measure_run,
@@ -96,13 +98,21 @@ def test_grid_validation():
         ("sizes", [3, 3], "sizes has duplicate"),
         ("densities", [0.5, 0.5], "densities has duplicate"),
         ("densities", [0.0, -0.0], "densities has duplicate"),
-        ("bit_widths", [2, 4, 2], "bit_widths has duplicate"),
+        ("bit_widths", [2, 4, 2], "bits has duplicate"),
         ("sizes", [0], "sizes must be >= 1"),
         ("densities", [-0.0], "densities must lie in"),
         ("densities", [1.5], "densities must lie in"),
         ("densities", [float("nan")], "densities must lie in"),
-        ("bit_widths", [0], "bit_widths must lie in"),
-        ("bit_widths", [65], "bit_widths must lie in"),
+        ("bit_widths", [0], "bits must lie in"),
+        ("bit_widths", [65], "bits must lie in"),
+        ("leak_k", 0, "leak_k must be >= 1"),
+        ("threshold_range", (0, 8), "threshold_lo must be >= 1"),
+        ("threshold_range", (9, 8), "threshold_lo 9 exceeds threshold_hi 8"),
+        ("weight_range", (4, -4), "weight_lo 4 exceeds weight_hi -4"),
+        ("weight_range", (0, 0), "leaves no nonzero weight"),
+        ("signedness", "twos", "signedness must be one of"),
+        ("overflow_mode", "clip", "overflow_mode must be one of"),
+        ("reset_mode", "zero", "reset_mode must be one of"),
     ],
 )
 def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message):
@@ -111,6 +121,22 @@ def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message
         grid.validate()
     with pytest.raises(ValueError, match=message):
         run_grid(grid)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_names_the_failing_cell(monkeypatch, workers):
+    real_run_cell = sweep.run_cell
+
+    def run_cell(grid, n, density, bits, seed_idx):
+        if (n, bits, seed_idx) == (5, 4, 1):
+            raise ZeroDivisionError("planted failure")
+        return real_run_cell(grid, n, density, bits, seed_idx)
+
+    # Pool workers are forked, so they see the patched module too.
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+    message = r"cell N005-d0\.5-b04-s1 failed: ZeroDivisionError: planted failure"
+    with pytest.raises(CellError, match=message):
+        run_grid(tiny_grid(), workers=workers)
 
 
 def test_format_run_id():
