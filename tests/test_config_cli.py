@@ -240,6 +240,12 @@ def test_cli_oracle_pass_and_budget_refusal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "16777216" in captured.err
 
+    # 2^64 states cannot be encoded at any budget
+    assert main(["oracle", "--n", "8", "--bits", "8", "--budget", str(1 << 70)]) == 1
+    captured = capsys.readouterr()
+    assert "18446744073709551616" in captured.err
+    assert "no budget" in captured.err
+
 
 def test_cli_report(tmp_path, capsys):
     src = tmp_path / "src"

@@ -5,16 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from intsnn import dynamics
 from intsnn.arith import IntegerDomain
 from intsnn.dynamics import (
     CENSORED,
     DETECTED,
+    REPLAY_LANES,
+    _decode_indices,
     _successor_indices,
     decode_state,
     detect_cycle,
     detection_mismatches,
     encode_state,
     enumerate_state_graph,
+    first_revisit,
     oracle_json,
     simulate,
     state_space_size,
@@ -206,7 +210,7 @@ def test_basins_partition_randomized_networks():
         assert int(np.bincount(report.attractor_ids).min()) >= 1
 
 
-def test_enumerate_object_mode_networks():
+def object_mode_networks():
     # A weight of 2^63 - 1 or a threshold of 2^63 forces Python-int
     # stepping on a 3-bit lattice small enough to enumerate.
     variants = [
@@ -225,16 +229,107 @@ def test_enumerate_object_mode_networks():
                     reset_mode=reset,
                 )
                 assert net.state_dtype is object
-                report = enumerate_state_graph(net)
-                basins = sum(a.basin_size for a in report.attractors)
-                assert basins == report.state_count == state_space_size(net)
-                assert detection_mismatches(net, report) == []
-                # successors agree with stepping one decoded state at a time
-                succ = _successor_indices(net, report.state_count)
-                for idx in range(report.state_count):
-                    state = decode_state(net, idx)
-                    v, s = net.step_arrays(state.v, state.s)
-                    assert succ[idx] == encode_state(net, NetworkState(v=v, s=s))
+                yield net
+
+
+def test_enumerate_object_mode_networks():
+    for net in object_mode_networks():
+        report = enumerate_state_graph(net)
+        basins = sum(a.basin_size for a in report.attractors)
+        assert basins == report.state_count == state_space_size(net)
+        assert detection_mismatches(net, report) == []
+        # successors agree with stepping one decoded state at a time
+        succ = _successor_indices(net, report.state_count)
+        for idx in range(report.state_count):
+            state = decode_state(net, idx)
+            v, s = net.step_arrays(state.v, state.s)
+            assert succ[idx] == encode_state(net, NetworkState(v=v, s=s))
+
+
+MODES = [
+    (signedness, overflow, reset)
+    for signedness in ("unsigned", "signed")
+    for overflow in ("saturate", "wrap")
+    for reset in ("none", RESET_SUBTRACT)
+]
+
+
+def mode_network(case, signedness, overflow, reset):
+    domain = IntegerDomain(3, signedness, overflow)
+    return Network(
+        n=3,
+        weights=generate_topology(3, 0.8, -2, 2, seed=derive_seed(60, case)),
+        thresholds=sample_thresholds(
+            3, 1, max(1, min(4, domain.max_value)), seed=derive_seed(61, case)
+        ),
+        leak_k=1,
+        domain=domain,
+        reset_mode=reset,
+    )
+
+
+def assert_batch_matches_lanes(net, horizon):
+    """Scan every state of the space as one batch and each state alone;
+    returns the one-state reports."""
+    total = state_space_size(net)
+    idx = np.arange(total, dtype=np.int64)
+    v, s = _decode_indices(net, idx)
+    # the chunk decoder agrees with the scalar reference
+    for i in range(total):
+        state = decode_state(net, i)
+        assert v[i].tolist() == state.v.tolist()
+        assert s[i].tolist() == state.s.tolist()
+    rows, batch = first_revisit(net, NetworkState(v=v, s=s), horizon)
+    assert rows is None and len(batch) == total
+    lanes = [detect_cycle(net, decode_state(net, i), horizon) for i in range(total)]
+    got = [(r.status, r.transient, r.period) for r in batch]
+    assert got == [(r.status, r.transient, r.period) for r in lanes]
+    return lanes
+
+
+@pytest.mark.parametrize("case", range(len(MODES)))
+def test_batch_scan_matches_one_state_scans(case):
+    net = mode_network(case, *MODES[case])
+    report = enumerate_state_graph(net)
+    full = int((report.transients + report.periods).max())
+    lanes = assert_batch_matches_lanes(net, full)
+    # lanes retire at different steps, and all of them within the horizon
+    assert len({r.transient + r.period for r in lanes}) > 1
+    assert all(r.status == DETECTED for r in lanes)
+    # a short horizon censors the slow lanes and still detects the rest
+    short = assert_batch_matches_lanes(net, max(1, full // 2))
+    assert {r.status for r in short} == {DETECTED, CENSORED}
+
+
+def test_batch_scan_object_mode_networks():
+    for net in object_mode_networks():
+        report = enumerate_state_graph(net)
+        full = int((report.transients + report.periods).max())
+        for horizon in (full, max(1, full - 1)):
+            assert_batch_matches_lanes(net, horizon)
+
+
+def test_detection_mismatches_finds_planted_errors():
+    net = Network(
+        n=3,
+        weights=generate_topology(3, 0.8, -2, 2, seed=derive_seed(70, 0)),
+        thresholds=sample_thresholds(3, 1, 4, seed=derive_seed(70, 1)),
+        leak_k=1,
+        domain=IntegerDomain(4),
+    )
+    report = enumerate_state_graph(net)
+    assert report.state_count > 2 * REPLAY_LANES
+    assert detection_mismatches(net, report) == []
+    # errors on both sides of the first chunk boundary, and in the last chunk
+    planted = [REPLAY_LANES - 2, REPLAY_LANES - 1, REPLAY_LANES, REPLAY_LANES + 3,
+               report.state_count - 1]
+    report.transients[REPLAY_LANES - 2] += 1
+    report.periods[REPLAY_LANES - 1] *= 2
+    report.transients[REPLAY_LANES] += 5
+    report.periods[REPLAY_LANES + 3] += 1
+    report.transients[report.state_count - 1] += 1
+    report.periods[report.state_count - 1] += 1
+    assert detection_mismatches(net, report) == planted
 
 
 def test_enumerate_budget_refusal():
@@ -251,6 +346,35 @@ def test_enumerate_budget_refusal():
     with pytest.raises(ValueError, match="pass budget=64"):
         enumerate_state_graph(small, budget=32)
     assert enumerate_state_graph(small, budget=64).state_count == 64
+
+
+@pytest.mark.parametrize(
+    "n, bits, reset, reason",
+    [
+        (8, 8, "none", "int64"),  # 2^64 states: codes overflow int64
+        (4, 16, "none", "int64"),
+        (2, 32, RESET_SUBTRACT, "int64"),  # 2^64 * 2^2
+        (60, 1, "none", "size limit"),  # 2^60 codes, 2^63 bytes
+        (31, 1, RESET_SUBTRACT, "size limit"),  # 2^62 states
+    ],
+)
+def test_enumerate_refuses_unrepresentable_space(monkeypatch, n, bits, reset, reason):
+    net = Network(
+        n=n,
+        weights=generate_topology(n, 0.5, -2, 2, seed=derive_seed(80, n)),
+        thresholds=sample_thresholds(n, 1, 1, seed=derive_seed(81, n)),
+        leak_k=1,
+        domain=IntegerDomain(bits),
+        reset_mode=reset,
+    )
+
+    def allocate(*args):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(dynamics, "_successor_indices", allocate)
+    with pytest.raises(ValueError, match=f"{reason}.*no budget") as err:
+        enumerate_state_graph(net, budget=1 << 70)
+    assert str(state_space_size(net)) in str(err.value)
 
 
 def test_oracle_json_shape_and_determinism():
