@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from .config import load_config, parse_int_list
 from .dynamics import (
@@ -109,10 +110,37 @@ def _write_sweep_figures(out: Path, summaries, label: str) -> None:
         )
 
 
+def _cell_config(args):
+    """Config for the one cell that --n, --density and --bits name, with
+    its grid validated as `intsnn sweep` validates one, so a bad model
+    key fails the same way and before any work."""
+    overrides = _grid_overrides(args)
+    overrides.update(
+        {"sizes": [args.n], "densities": [args.density], "bits": [args.bits_value]}
+    )
+    config = load_config(args.config, overrides)
+    config.grid.validate()
+    return config
+
+
 def cmd_simulate(args) -> int:
-    config = load_config(args.config, _grid_overrides(args))
+    config = _cell_config(args)
     grid = config.grid
     n, density, bits = args.n, args.density, args.bits_value
+    if config.figures:
+        # Checked before simulating, so a bad figure flag writes nothing.
+        trace_ids = (
+            parse_int_list(args.trace_neurons)
+            if args.trace_neurons
+            else list(range(min(3, n)))
+        )
+        for i in trace_ids:
+            if not 0 <= i < n:
+                raise ValueError(f"trace neuron {i} outside 0..{n - 1}")
+        if not 0 <= args.embed_neuron < n:
+            raise ValueError(f"embed neuron {args.embed_neuron} outside 0..{n - 1}")
+        if not 1 <= args.tau <= grid.horizon:
+            raise ValueError(f"tau must lie in 1..{grid.horizon}, got {args.tau}")
     net = build_network(grid, n, density, bits)
     _, _, init_seed = cell_seeds(
         grid.master_seed, n, density, bits, args.seed
@@ -131,14 +159,6 @@ def cmd_simulate(args) -> int:
             out / "connectivity.svg",
             heatmap_svg(net.weights, f"connectivity n={n} density={density:g}"),
         )
-        trace_ids = (
-            parse_int_list(args.trace_neurons)
-            if args.trace_neurons
-            else list(range(min(3, n)))
-        )
-        for i in trace_ids:
-            if not 0 <= i < n:
-                raise ValueError(f"trace neuron {i} outside 0..{n - 1}")
         steps = list(range(grid.horizon + 1))
         series = [
             (f"neuron {i}", steps, [int(x) for x in traj.states[:, i]])
@@ -152,8 +172,6 @@ def cmd_simulate(args) -> int:
             out / "raster.svg",
             raster_svg(traj.raster, f"spike raster n={n} bits={bits}"),
         )
-        if not 0 <= args.embed_neuron < n:
-            raise ValueError(f"embed neuron {args.embed_neuron} outside 0..{n - 1}")
         pairs = delay_embed(traj.states[:, args.embed_neuron], args.tau)
         write_text(
             out / "embedding.svg",
@@ -220,15 +238,18 @@ def cmd_focused(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    overrides = _grid_overrides(args)
-    overrides.update(
-        {"sizes": [args.n], "densities": [args.density], "bits": [args.bits_value]}
-    )
-    config = load_config(args.config, overrides)
-    grid = config.grid
+    grid = _cell_config(args).grid
     net = build_network(grid, args.n, args.density, args.bits_value)
+    started = perf_counter()
     report = enumerate_state_graph(net, budget=args.budget)
+    enumerated = perf_counter()
     mismatches = detection_mismatches(net, report)
+    # Timings go to stderr only; stdout and oracle.json stay deterministic.
+    print(
+        f"enumerate {enumerated - started:.2f} s, "
+        f"replay {perf_counter() - enumerated:.2f} s",
+        file=sys.stderr,
+    )
     if args.out:
         out = _ensure_dir(args.out)
         write_text(

@@ -2,16 +2,15 @@
 
 The update map is deterministic on a finite state space, so every
 trajectory is eventually periodic. detect_cycle finds the entry point
-and period of one trajectory, or of a batch of lanes, by hashing
-visited states; for small networks enumerate_state_graph resolves the
-entire map instead and serves as the ground truth the detector is
-tested against.
+and period of one trajectory by hashing visited states, or of a batch
+of lanes by sorting exact state codes; for small networks
+enumerate_state_graph resolves the entire map instead and serves as the
+ground truth the detector is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -23,8 +22,9 @@ CENSORED = "censored"
 
 DEFAULT_STATE_BUDGET = 1 << 20
 
-# Start states per batched detector replay. Each live lane holds its
-# own visited-state map, so the chunk bounds the replay's memory.
+# Start states per batched detector replay. Each live lane stores one
+# int64 state code per tick until its first revisit is found, so the
+# chunk bounds the replay's memory.
 REPLAY_LANES = 512
 
 
@@ -75,90 +75,101 @@ def simulate(net: Network, init: NetworkState, horizon: int) -> Trajectory:
 
 def first_revisit(
     net: Network, init: NetworkState, horizon: int
-) -> tuple[list[np.ndarray] | None, CycleReport | list[CycleReport]]:
+) -> tuple[list[np.ndarray] | None, CycleReport | tuple[np.ndarray, np.ndarray]]:
     """First-visit recurrence scan over the full (v, s) state.
 
     `init` holds one state, v and s of shape (n,), or a batch of lanes
-    of shape (B, n); a batch steps once per tick through step_arrays.
-    Each lane keeps a map from visited state to first-visit time; on its
-    first revisit at time t2 of a state first seen at t1 it reports
-    transient t1 and period t2 - t1 and retires: it stops stepping and
-    its map is dropped. The first repeat of a deterministic map is
-    always the cycle entry state, so the transient is exact. The scan
-    ends when every lane has retired or at `horizon`; a lane still live
-    then is censored.
+    of shape (B, n). On the first revisit at time t2 of a state first
+    seen at t1 the scan reports transient t1 and period t2 - t1. The
+    first repeat of a deterministic map is always the cycle entry state,
+    so the transient is exact. A trajectory with no repeat within
+    `horizon` steps is censored.
 
-    For one state it returns the spike vectors of steps 1..t2, or of all
-    `horizon` steps when censored, as uint8, and the CycleReport. For a
-    batch it returns None and one CycleReport per lane.
+    One state keeps a map from visited state to first-visit time and
+    returns the spike vectors of steps 1..t2, or of all `horizon` steps
+    when censored, as uint8, and the CycleReport. A batch returns None
+    and two int64 arrays (transients, periods), -1 for censored lanes;
+    see _batch_revisits.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     v = np.asarray(init.v)
     s = np.asarray(init.s)
+    if v.ndim > 1:
+        return None, _batch_revisits(net, v, s, horizon)
     # Spikes are 0 or 1, so uint8 encodes them exactly; keys and rows
     # then hold one byte per neuron for them, not eight.
-    spikes = s.astype(np.uint8)
-    if v.ndim == 1:
-        # One state skips the lane bookkeeping, which would add about
-        # 4% to every step of the sweep.
-        lanes = None
-        seen = {net.state_key(v, spikes): 0}
-        rows = []
-    else:
-        lanes = list(range(len(v)))  # input lane of each live row
-        seen = [{key: 0} for key in _lane_keys(net, v, spikes)]
-        reports = [CycleReport(CENSORED) for _ in lanes]
+    seen = {net.state_key(v, s.astype(np.uint8)): 0}
+    rows = []
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
         spikes = s.astype(np.uint8)
-        if lanes is None:
-            rows.append(spikes)
-            key = net.state_key(v, spikes)
-            first = seen.get(key)
-            if first is not None:
-                return rows, CycleReport(DETECTED, transient=first, period=t - first)
-            seen[key] = t
-            continue
-        # setdefault returns t only for a state new to its lane, and the
-        # first-visit time of the revisited state otherwise.
-        keys = _lane_keys(net, v, spikes)
-        firsts = list(map(dict.setdefault, seen, keys, repeat(t)))
-        if firsts.count(t) == len(firsts):
-            continue
-        live = []
-        for pos, first in enumerate(firsts):
-            if first == t:
-                live.append(pos)
-            else:
-                reports[lanes[pos]] = CycleReport(
-                    DETECTED, transient=first, period=t - first
-                )
-        if not live:
-            return None, reports
-        v, s = v[live], s[live]
-        seen = [seen[pos] for pos in live]
-        lanes = [lanes[pos] for pos in live]
-    if lanes is None:
-        return rows, CycleReport(CENSORED)
-    return None, reports
+        rows.append(spikes)
+        key = net.state_key(v, spikes)
+        first = seen.get(key)
+        if first is not None:
+            return rows, CycleReport(DETECTED, transient=first, period=t - first)
+        seen[key] = t
+    return rows, CycleReport(CENSORED)
 
 
-def _lane_keys(net: Network, v: np.ndarray, spikes: np.ndarray) -> list:
-    """Exact (v, s) key of each lane of a batch, equal to the lane's
-    one-state `net.state_key`."""
-    if net.state_dtype is object:
-        return [net.state_key(lane_v, lane_s) for lane_v, lane_s in zip(v, spikes)]
-    rows = np.concatenate((v.view(np.uint8), spikes), axis=1)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+def _batch_revisits(
+    net: Network, v: np.ndarray, s: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First revisit of every lane of a (B, n) batch.
+
+    Each tick steps the live lanes once through step_arrays. At ticks 8,
+    16, 32, ... and at `horizon` the states stepped since the last such
+    checkpoint are encoded (_encode_rows) in one call, one int64 code
+    column per tick, and each lane's columns are sorted stably, so equal
+    codes sit in time order: the smallest time that follows an equal
+    code is the first revisit t2, and the entry before it the first
+    visit t1, since every state before t2 occurs once. Lanes found there
+    retire and their rows are dropped. A space of 2^63 or more states
+    has no int64 codes; its lanes are scanned one at a time instead.
+    """
+    found_at = np.full((2, len(v)), -1, dtype=np.int64)
+    if state_space_size(net) >= 1 << 63:
+        for lane in range(len(v)):
+            report = first_revisit(net, NetworkState(v=v[lane], s=s[lane]), horizon)[1]
+            if report.status == DETECTED:
+                found_at[:, lane] = report.transient, report.period
+        return found_at[0], found_at[1]
+    lanes = np.arange(len(v))  # input lane of each live row
+    codes = np.empty((len(v), 0), dtype=np.int64)  # ticks up to the last checkpoint
+    ticks = [(v, s)]  # states stepped since the last checkpoint
+    checkpoint = 8
+    for t in range(1, horizon + 1):
+        v, s = net.step_arrays(v, s)
+        ticks.append((v, s))
+        if t < checkpoint and t < horizon:
+            continue
+        checkpoint *= 2
+        # Lane-major rows: lane 0's ticks, then lane 1's, and so on.
+        vs, ss = (np.concatenate(x, axis=1).reshape(-1, net.n) for x in zip(*ticks))
+        fresh = _encode_rows(net, vs, ss).reshape(len(lanes), len(ticks))
+        codes = np.concatenate((codes, fresh), axis=1)
+        ticks = []
+        rows = np.arange(len(lanes))
+        order = codes.argsort(axis=1, kind="stable")
+        ranked = codes[rows[:, None], order]
+        repeats = np.where(ranked[:, 1:] == ranked[:, :-1], order[:, 1:], t + 1)
+        pick = repeats.argmin(axis=1)
+        t1, t2 = order[rows, pick], repeats[rows, pick]
+        live = t2 > t
+        found_at[:, lanes[~live]] = t1[~live], t2[~live] - t1[~live]
+        if not live.any():
+            break
+        lanes, v, s, codes = lanes[live], v[live], s[live], codes[live]
+    return found_at[0], found_at[1]
 
 
 def detect_cycle(
     net: Network, init: NetworkState, horizon: int
-) -> CycleReport | list[CycleReport]:
+) -> CycleReport | tuple[np.ndarray, np.ndarray]:
     """Transient and period of the trajectory from `init`, or censored
-    when no state repeats within `horizon` steps; one report per lane
-    when `init` is a (B, n) batch."""
+    when no state repeats within `horizon` steps. For a (B, n) batch,
+    two int64 arrays (transients, periods) with -1 for censored lanes."""
     return first_revisit(net, init, horizon)[1]
 
 
@@ -252,28 +263,42 @@ def _decode_indices(net: Network, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return v, s
 
 
+def _encode_rows(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """int64 enumeration index of each (v, s) row of a batch; the
+    vectorised encode_state and the inverse of _decode_indices.
+
+    A row that is no lattice state (v outside the domain, spikes not 0
+    or 1, or, without reset, s other than spikes_of(v)) gets -1. The
+    space must hold fewer than 2^63 states.
+    """
+    n = net.n
+    lo = net.domain.min_value
+    reset = net.reset_mode != RESET_NONE
+    off = (v < lo) | (v > net.domain.max_value)
+    off |= ((s != 0) & (s != 1)) if reset else (s != net.spikes_of(v))
+    # Zeroing off-lattice entries first keeps object-mode rows in int64.
+    digits = np.where(off, 0, v - lo).astype(np.int64, copy=False)
+    powers = np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = digits @ net.domain.cardinality**powers
+    if reset:
+        spikes = np.where(off, 0, s).astype(np.int64, copy=False)
+        codes = codes * (1 << n) + spikes @ (1 << powers)
+    codes[np.flatnonzero(off) // n] = -1
+    return codes
+
+
 def _successor_indices(net: Network, total: int) -> np.ndarray:
     """Successor index for every state, stepped in vectorized chunks.
 
     The enumeration guard keeps codes within int64, so digits and codes
     fit even when the network steps in object mode.
     """
-    n = net.n
-    card = net.domain.cardinality
-    lo = net.domain.min_value
-    reset = net.reset_mode != RESET_NONE
     succ = np.empty(total, dtype=np.int64)
-    v_radix = card ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    s_radix = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     chunk = 1 << 15
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         v, s = _decode_indices(net, np.arange(start, stop, dtype=np.int64))
-        v_next, s_next = net.step_arrays(v, s)
-        out = (v_next - lo).astype(np.int64, copy=False) @ v_radix
-        if reset:
-            out = out * (1 << n) + s_next @ s_radix
-        succ[start:stop] = out
+        succ[start:stop] = _encode_rows(net, *net.step_arrays(v, s))
     return succ
 
 
@@ -381,9 +406,10 @@ def detection_mismatches(net: Network, report: StateGraphReport) -> list[int]:
 
     Start states are replayed as the lanes of one detect_cycle call per
     chunk of REPLAY_LANES, with the chunk's largest transient + period
-    as the horizon. A horizon longer than a lane's own hides no wrong
-    answer: a lane whose reported transient and period are both right
-    first revisits at step transient + period exactly.
+    as the horizon, and compared in one vectorised test, where a
+    censored lane (period -1) always disagrees. A longer horizon than a
+    lane's own hides no wrong answer: a lane whose transient and period
+    are both right first revisits at step transient + period exactly.
     """
     bad = []
     for start in range(0, report.state_count, REPLAY_LANES):
@@ -392,15 +418,9 @@ def detection_mismatches(net: Network, report: StateGraphReport) -> list[int]:
         mus = report.transients[start:stop]
         periods = report.periods[start:stop]
         horizon = max(1, int((mus + periods).max()))
-        outcomes = detect_cycle(net, NetworkState(v=v, s=s), horizon)
-        expected = zip(mus.tolist(), periods.tolist())
-        for offset, (outcome, (mu, p)) in enumerate(zip(outcomes, expected)):
-            if (
-                outcome.status != DETECTED
-                or outcome.transient != mu
-                or outcome.period != p
-            ):
-                bad.append(start + offset)
+        got_mus, got_periods = detect_cycle(net, NetworkState(v=v, s=s), horizon)
+        wrong = (got_periods < 1) | (got_mus != mus) | (got_periods != periods)
+        bad.extend((start + np.flatnonzero(wrong)).tolist())
     return bad
 
 

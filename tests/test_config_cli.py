@@ -1,6 +1,7 @@
 """Config parsing and the command-line entry points."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -156,6 +157,36 @@ def test_cli_simulate_rejects_bad_neuron_index(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(simulate_args(out, ("--embed-neuron", "9"))) == 1
     assert "error:" in capsys.readouterr().err
+    # the flag is checked before anything is simulated or written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--embed-neuron", "99"), "embed neuron 99 outside 0..5"),
+        (("--trace-neurons", "9"), "trace neuron 9 outside 0..5"),
+        (("--trace-neurons", "1,-1"), "trace neuron -1 outside 0..5"),
+        (("--tau", "0"), "tau must lie in 1..40, got 0"),
+        (("--tau", "41"), "tau must lie in 1..40, got 41"),  # horizon + 1
+        (("--tau", "5000"), "tau must lie in 1..40, got 5000"),
+        (("--threshold-lo", "5", "--threshold-hi", "3"),
+         "threshold_lo 5 exceeds threshold_hi 3"),
+    ],
+)
+def test_cli_simulate_rejects_bad_flags_before_writing(
+    tmp_path, capsys, flags, message
+):
+    out = tmp_path / "sim"
+    assert main(simulate_args(out, flags)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_accepts_tau_up_to_horizon(tmp_path):
+    out = tmp_path / "sim"
+    assert main(simulate_args(out, ("--tau", "40", "--trace-neurons", "5"))) == 0
+    assert (out / "embedding.svg").exists()
 
 
 def sweep_args(out, extra=()):
@@ -231,8 +262,12 @@ def test_cli_focused(tmp_path):
 def test_cli_oracle_pass_and_budget_refusal(tmp_path, capsys):
     out = tmp_path / "oracle"
     assert main(["oracle", "--n", "1", "--bits", "2", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "PASS" in printed
+    captured = capsys.readouterr()
+    assert "PASS" in captured.out
+    # wall times go to stderr only, never to stdout or oracle.json
+    assert re.fullmatch(r"enumerate \d+\.\d\d s, replay \d+\.\d\d s\n", captured.err)
+    assert "replay" not in captured.out
+    assert "replay" not in (out / "oracle.json").read_text()
     doc = json.loads((out / "oracle.json").read_text())
     assert doc["state_count"] == 4
 
@@ -245,6 +280,17 @@ def test_cli_oracle_pass_and_budget_refusal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "18446744073709551616" in captured.err
     assert "no budget" in captured.err
+
+
+def test_cli_oracle_names_bad_grid_key(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    args = ["oracle", "--n", "2", "--bits", "3", "--threshold-lo", "5",
+            "--threshold-hi", "3", "--out", str(out)]
+    assert main(args) == 1
+    assert "threshold_lo 5 exceeds threshold_hi 3" in capsys.readouterr().err
+    assert main(["oracle", "--n", "2", "--bits", "65"]) == 1
+    assert "bits must lie in 1..64, got 65" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_report(tmp_path, capsys):

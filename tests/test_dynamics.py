@@ -12,6 +12,7 @@ from intsnn.dynamics import (
     DETECTED,
     REPLAY_LANES,
     _decode_indices,
+    _encode_rows,
     _successor_indices,
     decode_state,
     detect_cycle,
@@ -29,6 +30,7 @@ from intsnn.network import (
     Network,
     NetworkState,
     generate_topology,
+    initial_state,
     sample_thresholds,
 )
 from intsnn.rng import derive_seed
@@ -268,22 +270,39 @@ def mode_network(case, signedness, overflow, reset):
     )
 
 
+def one_state_scans(net, v, s, horizon):
+    """(transient, period) of each row scanned alone, -1s when censored."""
+    out = []
+    for lane_v, lane_s in zip(v, s):
+        r = detect_cycle(net, NetworkState(v=lane_v, s=lane_s), horizon)
+        out.append((r.transient, r.period) if r.status == DETECTED else (-1, -1))
+    return out
+
+
+def batch_scan(net, v, s, horizon):
+    rows, (transients, periods) = first_revisit(net, NetworkState(v=v, s=s), horizon)
+    assert rows is None
+    assert transients.dtype == periods.dtype == np.int64
+    return list(zip(transients.tolist(), periods.tolist()))
+
+
 def assert_batch_matches_lanes(net, horizon):
     """Scan every state of the space as one batch and each state alone;
-    returns the one-state reports."""
+    returns the one-state (transient, period) pairs."""
     total = state_space_size(net)
     idx = np.arange(total, dtype=np.int64)
     v, s = _decode_indices(net, idx)
-    # the chunk decoder agrees with the scalar reference
+    codes = _encode_rows(net, v, s)
+    # the chunk decoder agrees with the scalar reference, and the row
+    # encoder inverts it and agrees with encode_state
+    assert codes.dtype == np.int64 and codes.tolist() == idx.tolist()
     for i in range(total):
         state = decode_state(net, i)
         assert v[i].tolist() == state.v.tolist()
         assert s[i].tolist() == state.s.tolist()
-    rows, batch = first_revisit(net, NetworkState(v=v, s=s), horizon)
-    assert rows is None and len(batch) == total
-    lanes = [detect_cycle(net, decode_state(net, i), horizon) for i in range(total)]
-    got = [(r.status, r.transient, r.period) for r in batch]
-    assert got == [(r.status, r.transient, r.period) for r in lanes]
+        assert encode_state(net, state) == codes[i]
+    lanes = one_state_scans(net, v, s, horizon)
+    assert batch_scan(net, v, s, horizon) == lanes
     return lanes
 
 
@@ -294,11 +313,11 @@ def test_batch_scan_matches_one_state_scans(case):
     full = int((report.transients + report.periods).max())
     lanes = assert_batch_matches_lanes(net, full)
     # lanes retire at different steps, and all of them within the horizon
-    assert len({r.transient + r.period for r in lanes}) > 1
-    assert all(r.status == DETECTED for r in lanes)
+    assert len({mu + p for mu, p in lanes}) > 1
+    assert all(p >= 1 for _, p in lanes)
     # a short horizon censors the slow lanes and still detects the rest
     short = assert_batch_matches_lanes(net, max(1, full // 2))
-    assert {r.status for r in short} == {DETECTED, CENSORED}
+    assert {p >= 1 for _, p in short} == {True, False}
 
 
 def test_batch_scan_object_mode_networks():
@@ -307,6 +326,114 @@ def test_batch_scan_object_mode_networks():
         full = int((report.transients + report.periods).max())
         for horizon in (full, max(1, full - 1)):
             assert_batch_matches_lanes(net, horizon)
+
+
+@pytest.mark.parametrize("case", range(len(MODES)))
+def test_batch_scan_off_lattice_start_rows(case):
+    # A start row that is no lattice state never recurs; the batch must
+    # still agree with one-state scans, lane by lane.
+    net = mode_network(case, *MODES[case])
+    lo, hi = net.domain.min_value, net.domain.max_value
+    v, s = _decode_indices(net, np.arange(0, state_space_size(net), 37, dtype=np.int64))
+    v, s = v.copy(), s.copy()
+    v[0, 0], v[1, 2], v[2, 1] = hi + 1, lo - 1, hi + 9
+    if net.reset_mode == RESET_SUBTRACT:
+        s[3, 1], s[4, 0], s[5, 2] = 2, -1, 3  # spikes other than 0 or 1
+    else:
+        s[3:6, 0] ^= 1  # spikes inconsistent with v
+    s[0:3] = net.spikes_of(v[0:3])  # off by v alone
+    assert (_encode_rows(net, v, s)[:6] == -1).all()
+    assert (_encode_rows(net, v, s)[6:] >= 0).all()
+    horizon = int(enumerate_state_graph(net).transients.max()) + 12
+    lanes = one_state_scans(net, v, s, horizon)
+    assert batch_scan(net, v, s, horizon) == lanes
+    assert all(mu >= 1 for mu, _ in lanes[:6])
+
+
+def test_batch_scan_off_lattice_object_mode():
+    for net in object_mode_networks():
+        v, s = _decode_indices(net, np.arange(state_space_size(net), dtype=np.int64))
+        v[0, 0] = 1 << 70  # beyond int64: must not reach the int64 codes
+        s[0] = net.spikes_of(v[0])
+        assert _encode_rows(net, v, s)[0] == -1
+        lanes = one_state_scans(net, v, s, 40)
+        assert batch_scan(net, v, s, 40) == lanes
+
+
+def test_batch_scan_space_beyond_int64_codes(monkeypatch):
+    # 2^64 states: no int64 code exists, so a batch scans each lane alone
+    net = Network(
+        n=8,
+        weights=generate_topology(8, 0.8, -2, 2, seed=derive_seed(85, 0)),
+        thresholds=sample_thresholds(8, 1, 4, seed=derive_seed(85, 1)),
+        leak_k=1,
+        domain=IntegerDomain(8),
+    )
+    assert state_space_size(net) == 1 << 64
+    starts = [initial_state(net, derive_seed(86, i)) for i in range(6)]
+    v = np.stack([st.v for st in starts])
+    s = np.stack([st.s for st in starts])
+    lanes = one_state_scans(net, v, s, 11)
+
+    def refuse(*args):
+        raise AssertionError("encoded a space beyond int64")
+
+    monkeypatch.setattr(dynamics, "_encode_rows", refuse)
+    assert batch_scan(net, v, s, 11) == lanes
+    assert {p >= 1 for _, p in lanes} == {True, False}
+
+
+def checkpoint_network():
+    # every first revisit time 7, 8, 9, 15, 16, 17, 31, 32, 33 occurs,
+    # with periods 4 and 15
+    domain = IntegerDomain(4, "unsigned", "wrap")
+    return Network(
+        n=3,
+        weights=generate_topology(3, 0.8, -2, 2, seed=derive_seed(90, 3)),
+        thresholds=sample_thresholds(3, 1, 4, seed=derive_seed(91, 3)),
+        leak_k=1,
+        domain=domain,
+    )
+
+
+@pytest.mark.parametrize(
+    "revisits, ticks",
+    [
+        ((7,), 8), ((8,), 8), ((7, 8), 8), ((9,), 16), ((8, 9), 16),
+        ((15,), 16), ((16,), 16), ((17,), 32), ((15, 16, 17), 32),
+        ((31,), 32), ((32,), 32), ((33,), 64), ((7, 9, 17, 33), 64),
+    ],
+)
+def test_batch_scan_around_checkpoints(monkeypatch, revisits, ticks):
+    # Lanes are searched at ticks 8, 16, 32, ... and at the horizon, so a
+    # first revisit one tick before, on, or after a checkpoint is found
+    # there or at the next one, and the batch steps exactly that long.
+    net = checkpoint_network()
+    report = enumerate_state_graph(net)
+    sums = report.transients + report.periods
+    picked = np.concatenate([np.flatnonzero(sums == t2)[:5] for t2 in revisits])
+    assert len(picked) == 5 * len(revisits)
+    v, s = _decode_indices(net, picked)
+    expected = list(
+        zip(report.transients[picked].tolist(), report.periods[picked].tolist())
+    )
+    assert {p for _, p in expected} <= {4, 15} and min(p for _, p in expected) > 1
+    stepped = []
+    step = net.step_arrays
+
+    def counted(*args):
+        stepped.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(net, "step_arrays", counted)
+    assert batch_scan(net, v, s, 100) == expected
+    assert len(stepped) == ticks
+    # a horizon between checkpoints is itself searched: a lane revisiting
+    # there is detected, one revisiting a tick later is censored
+    last = max(revisits)
+    assert batch_scan(net, v, s, last) == expected
+    cut = [pair if sum(pair) < last else (-1, -1) for pair in expected]
+    assert batch_scan(net, v, s, last - 1) == cut
 
 
 def test_detection_mismatches_finds_planted_errors():
