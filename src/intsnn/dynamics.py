@@ -24,8 +24,9 @@ DEFAULT_STATE_BUDGET = 1 << 20
 
 # Start states per batched detector replay. Each live lane stores one
 # int64 state code per tick until its first revisit is found, so the
-# chunk bounds the replay's memory.
-REPLAY_LANES = 512
+# chunk bounds the replay's memory: about 1.6 MB on the oracle, where
+# 2048 lanes took twice that and replayed no faster.
+REPLAY_LANES = 1024
 
 
 @dataclass
@@ -118,15 +119,17 @@ def _batch_revisits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First revisit of every lane of a (B, n) batch.
 
-    Each tick steps the live lanes once through step_arrays. At ticks 8,
-    16, 32, ... and at `horizon` the states stepped since the last such
-    checkpoint are encoded (_encode_rows) in one call, one int64 code
-    column per tick, and each lane's columns are sorted stably, so equal
-    codes sit in time order: the smallest time that follows an equal
-    code is the first revisit t2, and the entry before it the first
-    visit t1, since every state before t2 occurs once. Lanes found there
-    retire and their rows are dropped. A space of 2^63 or more states
-    has no int64 codes; its lanes are scanned one at a time instead.
+    Start rows get their codes from _encode_rows, -1 when off the
+    lattice. Each tick steps the live lanes once through step_arrays. At
+    ticks 8, 16, 32, ... and at `horizon` the states stepped since the
+    last such checkpoint, all on the lattice, get theirs in one
+    _lattice_codes call, one int64 code column per tick, and each lane's
+    columns are sorted stably, so equal codes sit in time order: the
+    smallest time that follows an equal code is the first revisit t2,
+    and the entry before it the first visit t1, since every state before
+    t2 occurs once. Lanes found there retire and their rows are dropped.
+    A space of 2^63 or more states has no int64 codes; its lanes are
+    scanned one at a time instead.
     """
     found_at = np.full((2, len(v)), -1, dtype=np.int64)
     if state_space_size(net) >= 1 << 63:
@@ -136,8 +139,8 @@ def _batch_revisits(
                 found_at[:, lane] = report.transient, report.period
         return found_at[0], found_at[1]
     lanes = np.arange(len(v))  # input lane of each live row
-    codes = np.empty((len(v), 0), dtype=np.int64)  # ticks up to the last checkpoint
-    ticks = [(v, s)]  # states stepped since the last checkpoint
+    codes = _encode_rows(net, v, s)[:, None]  # ticks up to the last checkpoint
+    ticks = []  # states stepped since the last checkpoint
     checkpoint = 8
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
@@ -147,7 +150,7 @@ def _batch_revisits(
         checkpoint *= 2
         # Lane-major rows: lane 0's ticks, then lane 1's, and so on.
         vs, ss = (np.concatenate(x, axis=1).reshape(-1, net.n) for x in zip(*ticks))
-        fresh = _encode_rows(net, vs, ss).reshape(len(lanes), len(ticks))
+        fresh = _lattice_codes(net, vs, ss).reshape(len(lanes), len(ticks))
         codes = np.concatenate((codes, fresh), axis=1)
         ticks = []
         rows = np.arange(len(lanes))
@@ -263,27 +266,34 @@ def _decode_indices(net: Network, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return v, s
 
 
-def _encode_rows(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _lattice_codes(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """int64 enumeration index of each (v, s) row of a batch; the
     vectorised encode_state and the inverse of _decode_indices.
 
-    A row that is no lattice state (v outside the domain, spikes not 0
-    or 1, or, without reset, s other than spikes_of(v)) gets -1. The
-    space must hold fewer than 2^63 states.
+    Every row must be a lattice state, as every row step_arrays returns
+    is: clamp puts v in the domain and s is the fired mask. The space
+    must hold fewer than 2^63 states.
     """
-    n = net.n
+    powers = np.arange(net.n - 1, -1, -1, dtype=np.int64)
+    digits = (v - net.domain.min_value).astype(np.int64, copy=False)
+    codes = digits @ net.domain.cardinality**powers
+    if net.reset_mode != RESET_NONE:
+        codes = codes * (1 << net.n) + s.astype(np.int64, copy=False) @ (1 << powers)
+    return codes
+
+
+def _encode_rows(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """_lattice_codes for rows from a caller, which may be no lattice
+    state (v outside the domain, spikes not 0 or 1, or, without reset,
+    s other than spikes_of(v)); such a row gets -1.
+    """
     lo = net.domain.min_value
     reset = net.reset_mode != RESET_NONE
     off = (v < lo) | (v > net.domain.max_value)
     off |= ((s != 0) & (s != 1)) if reset else (s != net.spikes_of(v))
     # Zeroing off-lattice entries first keeps object-mode rows in int64.
-    digits = np.where(off, 0, v - lo).astype(np.int64, copy=False)
-    powers = np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = digits @ net.domain.cardinality**powers
-    if reset:
-        spikes = np.where(off, 0, s).astype(np.int64, copy=False)
-        codes = codes * (1 << n) + spikes @ (1 << powers)
-    codes[np.flatnonzero(off) // n] = -1
+    codes = _lattice_codes(net, np.where(off, lo, v), np.where(off, 0, s))
+    codes[off.any(axis=1)] = -1
     return codes
 
 
@@ -291,14 +301,16 @@ def _successor_indices(net: Network, total: int) -> np.ndarray:
     """Successor index for every state, stepped in vectorized chunks.
 
     The enumeration guard keeps codes within int64, so digits and codes
-    fit even when the network steps in object mode.
+    fit even when the network steps in object mode. A chunk of 4096
+    states needs about 1 MB of temporaries; 32768 took 6.6 MB and ran
+    slower.
     """
     succ = np.empty(total, dtype=np.int64)
-    chunk = 1 << 15
+    chunk = 1 << 12
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         v, s = _decode_indices(net, np.arange(start, stop, dtype=np.int64))
-        succ[start:stop] = _encode_rows(net, *net.step_arrays(v, s))
+        succ[start:stop] = _lattice_codes(net, *net.step_arrays(v, s))
     return succ
 
 
@@ -307,10 +319,11 @@ def enumerate_state_graph(
 ) -> StateGraphReport:
     """Resolve transient, period, and attractor for every state.
 
-    Walks the functional graph of the map with memoization: each state
-    is visited a constant number of times, so the cost is linear in the
-    state count. Refuses to start when the space exceeds `budget`, and
-    at any budget when its int64 codes or successor array cannot exist.
+    Steps every state once (_successor_indices) and resolves the
+    successor array with resolve_successors, O(N log N) array work and
+    no per-state Python loop. Refuses to start when the space exceeds
+    `budget`, and at any budget when its int64 codes or successor array
+    cannot exist.
     """
     total = state_space_size(net)
     if total >= 1 << 63:
@@ -328,75 +341,56 @@ def enumerate_state_graph(
             f"state space has {total} states, over the budget of {budget}; "
             f"pass budget={total} or more to enumerate anyway"
         )
-    succ = _successor_indices(net, total).tolist()
+    return resolve_successors(_successor_indices(net, total))
 
-    # The walk reads and writes one element at a time, which lists and a
-    # bytearray do faster than numpy arrays; the report arrays are built
-    # once at the end.
-    transients = [0] * total
-    periods = [0] * total
-    attractor_ids = [0] * total
-    color = bytearray(total)  # 0 new, 1 on path, 2 resolved
-    cycles: list[list[int]] = []
 
-    for root in range(total):
-        if color[root] == 2:
-            continue
-        path = []
-        node = root
-        while color[node] == 0:
-            color[node] = 1
-            path.append(node)
-            node = succ[node]
-        if color[node] == 1:
-            entry = path.index(node)
-            cycle = path[entry:]
-            aid = len(cycles)
-            cycles.append(cycle)
-            p = len(cycle)
-            for member in cycle:
-                color[member] = 2
-                transients[member] = 0
-                periods[member] = p
-                attractor_ids[member] = aid
-            tail = path[:entry]
-            base = 0
-        else:
-            tail = path
-            p = periods[node]
-            aid = attractor_ids[node]
-            base = transients[node]
-        for dist, member in enumerate(reversed(tail)):
-            color[member] = 2
-            transients[member] = base + dist + 1
-            periods[member] = p
-            attractor_ids[member] = aid
+def resolve_successors(succ: np.ndarray) -> StateGraphReport:
+    """Transient, period and attractor of every state of the map
+    x -> succ[x] on 0..N-1, by pointer jumping (JaJa, An Introduction to
+    Parallel Algorithms, 1992, ch. 3).
 
-    del succ, color
+    After K = (N-1).bit_length() rounds of jumping, y = succ^(2^K) with
+    2^K >= N lies on the cycle of every start, and lab[y], the smallest
+    state among the 2^K successors of y, is that cycle's smallest
+    member. Attractors are numbered in the order of those members.
+    Transients come from Wyllie's list ranking on the in-forest.
+    """
+    total = len(succ)
+    lab = np.arange(total, dtype=np.int64)
+    y = succ
+    for _ in range((total - 1).bit_length()):
+        np.minimum(lab, lab[y], out=lab)
+        y = y[y]
+    on_cycle = np.zeros(total, dtype=bool)
+    on_cycle[y] = True
+    roots = lab[y]
+    del lab, y
+    # A representative is the one state that is its own root; numbering
+    # them in index order is the canonical attractor order.
+    is_rep = roots == np.arange(total)
+    attractor_ids = np.cumsum(is_rep)[roots] - 1
+    reps = np.flatnonzero(is_rep)
+    del roots, is_rep
+    cycle_lengths = np.bincount(attractor_ids[on_cycle], minlength=len(reps))
+    basin_sizes = np.bincount(attractor_ids, minlength=len(reps))
 
-    # Canonical order: by smallest member index; remap ids to match.
-    order = sorted(range(len(cycles)), key=lambda a: min(cycles[a]))
-    remap = np.empty(len(cycles), dtype=np.int64)
-    for new_id, old_id in enumerate(order):
-        remap[old_id] = new_id
-    transients = np.array(transients, dtype=np.int64)
-    periods = np.array(periods, dtype=np.int64)
-    attractor_ids = remap[np.array(attractor_ids, dtype=np.int64)]
-    basin_sizes = np.bincount(attractor_ids, minlength=len(cycles))
-    attractors = [
-        Attractor(
-            period=len(cycles[old_id]),
-            basin_size=int(basin_sizes[new_id]),
-            representative=min(cycles[old_id]),
-        )
-        for new_id, old_id in enumerate(order)
-    ]
+    # d[x] counts the steps from x to p[x]; a cycle state points at itself.
+    d = (~on_cycle).astype(np.int64)
+    p = np.where(on_cycle, np.arange(total), succ)
+    while not on_cycle[p].all():
+        d += d[p]
+        p = p[p]
     return StateGraphReport(
         state_count=total,
-        transients=transients,
-        periods=periods,
+        transients=d,
+        periods=cycle_lengths[attractor_ids],
         attractor_ids=attractor_ids,
-        attractors=attractors,
+        attractors=[
+            Attractor(period=period, basin_size=size, representative=rep)
+            for period, size, rep in zip(
+                cycle_lengths.tolist(), basin_sizes.tolist(), reps.tolist()
+            )
+        ],
     )
 
 

@@ -175,7 +175,8 @@ class Network:
         self._th_exec = np.asarray(self.thresholds, dtype=self.state_dtype)
         self._lo = d.min_value
         self._hi = d.max_value
-        self._card = d.cardinality
+        # The cardinality is 2^bits, so wrapping is a mask of the offset.
+        self._mask = d.cardinality - 1
 
     @property
     def state_dtype(self):
@@ -184,7 +185,7 @@ class Network:
     def _clamp_vec(self, raw):
         if self.domain.overflow_mode == SATURATE:
             return np.minimum(np.maximum(raw, self._lo), self._hi)
-        return (raw - self._lo) % self._card + self._lo
+        return ((raw - self._lo) & self._mask) + self._lo
 
     def step_arrays(self, v: np.ndarray, s: np.ndarray):
         """One update on raw arrays; returns the new (v, s) pair.

@@ -1,6 +1,7 @@
 """Trajectories, recurrence detection, and exhaustive enumeration."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from intsnn.dynamics import (
     CENSORED,
     DETECTED,
     REPLAY_LANES,
+    Attractor,
+    StateGraphReport,
     _decode_indices,
     _encode_rows,
     _successor_indices,
@@ -21,6 +24,7 @@ from intsnn.dynamics import (
     enumerate_state_graph,
     first_revisit,
     oracle_json,
+    resolve_successors,
     simulate,
     state_space_size,
     write_trajectory_csv,
@@ -180,6 +184,124 @@ def test_enumerate_frozen_pair_has_period_two():
     assert sum(a.basin_size for a in report.attractors) == 64
 
 
+def walk_successors(succ):
+    """Reference resolver for the map x -> succ[x]: walks the functional
+    graph one state at a time with memoization, so each state is
+    visited a constant number of times."""
+    total = len(succ)
+    succ = succ.tolist()
+    transients = [0] * total
+    periods = [0] * total
+    attractor_ids = [0] * total
+    color = bytearray(total)  # 0 new, 1 on path, 2 resolved
+    cycles = []
+    for root in range(total):
+        if color[root] == 2:
+            continue
+        path = []
+        node = root
+        while color[node] == 0:
+            color[node] = 1
+            path.append(node)
+            node = succ[node]
+        if color[node] == 1:
+            entry = path.index(node)
+            cycle = path[entry:]
+            aid = len(cycles)
+            cycles.append(cycle)
+            p = len(cycle)
+            for member in cycle:
+                color[member] = 2
+                transients[member] = 0
+                periods[member] = p
+                attractor_ids[member] = aid
+            tail = path[:entry]
+            base = 0
+        else:
+            tail = path
+            p = periods[node]
+            aid = attractor_ids[node]
+            base = transients[node]
+        for dist, member in enumerate(reversed(tail)):
+            color[member] = 2
+            transients[member] = base + dist + 1
+            periods[member] = p
+            attractor_ids[member] = aid
+    del succ, color
+
+    # Canonical order: by smallest member index; remap ids to match.
+    order = sorted(range(len(cycles)), key=lambda a: min(cycles[a]))
+    remap = np.empty(len(cycles), dtype=np.int64)
+    for new_id, old_id in enumerate(order):
+        remap[old_id] = new_id
+    attractor_ids = remap[np.array(attractor_ids, dtype=np.int64)]
+    basin_sizes = np.bincount(attractor_ids, minlength=len(cycles))
+    return StateGraphReport(
+        state_count=total,
+        transients=np.array(transients, dtype=np.int64),
+        periods=np.array(periods, dtype=np.int64),
+        attractor_ids=attractor_ids,
+        attractors=[
+            Attractor(
+                period=len(cycles[old_id]),
+                basin_size=int(basin_sizes[new_id]),
+                representative=min(cycles[old_id]),
+            )
+            for new_id, old_id in enumerate(order)
+        ],
+    )
+
+
+def assert_same_report(got, want):
+    assert got.state_count == want.state_count
+    for field in ("transients", "periods", "attractor_ids"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.int64, field
+        assert a.tolist() == b.tolist(), field
+    assert got.attractors == want.attractors
+    for a in got.attractors:
+        assert {type(a.period), type(a.basin_size), type(a.representative)} == {int}
+
+
+def functional_maps(total):
+    """Named successor arrays on 0..total-1: the identity, one cycle
+    through every state, a chain of total-1 steps into a fixed point
+    (the longest transient, which needs all (total-1).bit_length()
+    rounds), the same chain and cycle under a random relabelling, random
+    maps, and a random permutation with some states redirected."""
+    rng = np.random.default_rng(total)
+    idx = np.arange(total, dtype=np.int64)
+    chain = np.minimum(idx + 1, total - 1)
+    cycle = (idx + 1) % total
+    perm = rng.permutation(total)
+    relabel = np.empty_like(perm)
+    relabel[perm] = idx  # conjugate: state perm[i] steps to perm[map[i]]
+    yield "identity", idx
+    yield "cycle", cycle
+    yield "chain", chain
+    yield "chain relabelled", perm[chain][relabel]
+    yield "cycle relabelled", perm[cycle][relabel]
+    for k in range(3):
+        yield f"random {k}", rng.integers(0, total, size=total, dtype=np.int64)
+    # long cycles of a random permutation, with 30% of states redirected
+    tails = rng.integers(0, total, size=total, dtype=np.int64)
+    yield "permutation with tails", np.where(rng.random(total) < 0.3, tails, perm)
+
+
+@pytest.mark.parametrize("total", [2, 3, 7, 8, 9, 1000, 4097])
+def test_resolve_successors_matches_walk(total):
+    for name, succ in functional_maps(total):
+        got = resolve_successors(succ)
+        want = walk_successors(succ)
+        assert_same_report(got, want)
+        if name == "chain":
+            assert got.transients.tolist() == list(range(total - 1, -1, -1))
+        if name.startswith("cycle"):
+            assert got.attractors == [Attractor(total, total, 0)]
+        if name == "identity":
+            assert len(got.attractors) == total
+
+
 def test_detector_agrees_with_enumeration():
     for net in (
         single_neuron(bits=2, theta=2),
@@ -242,10 +364,7 @@ def test_enumerate_object_mode_networks():
         assert detection_mismatches(net, report) == []
         # successors agree with stepping one decoded state at a time
         succ = _successor_indices(net, report.state_count)
-        for idx in range(report.state_count):
-            state = decode_state(net, idx)
-            v, s = net.step_arrays(state.v, state.s)
-            assert succ[idx] == encode_state(net, NetworkState(v=v, s=s))
+        assert succ.tolist() == stepped_successors(net).tolist()
 
 
 MODES = [
@@ -268,6 +387,24 @@ def mode_network(case, signedness, overflow, reset):
         domain=domain,
         reset_mode=reset,
     )
+
+
+def stepped_successors(net):
+    """Successor array built one state at a time from the scalar codec."""
+    succ = []
+    for idx in range(state_space_size(net)):
+        state = decode_state(net, idx)
+        v, s = net.step_arrays(state.v, state.s)
+        succ.append(encode_state(net, NetworkState(v=v, s=s)))
+    return np.array(succ, dtype=np.int64)
+
+
+def test_enumerate_matches_walk_on_mode_networks():
+    nets = [mode_network(case, *mode) for case, mode in enumerate(MODES)]
+    for net in nets + list(object_mode_networks()):
+        succ = stepped_successors(net)
+        assert _successor_indices(net, len(succ)).tolist() == succ.tolist()
+        assert_same_report(enumerate_state_graph(net), walk_successors(succ))
 
 
 def one_state_scans(net, v, s, horizon):
@@ -328,6 +465,44 @@ def test_batch_scan_object_mode_networks():
             assert_batch_matches_lanes(net, horizon)
 
 
+def aliasing_starts(net, horizon, per_kind=2):
+    """Off-lattice start rows whose mixed-radix code, taken without the
+    lattice test, is the code of a state on their own trajectory: v one
+    cardinality above or below the domain in the last neuron, and a spike
+    of 2 (with reset) or a flipped spike (without). A scan that encoded
+    start rows unchecked would report a false revisit of tick 0."""
+    total = state_space_size(net)
+    v, s = _decode_indices(net, np.arange(total, dtype=np.int64))
+    card, lo, n = net.domain.cardinality, net.domain.min_value, net.n
+    reset = net.reset_mode == RESET_SUBTRACT
+    kinds = []
+    for shift in (card, -card):
+        shifted = v.copy()
+        shifted[:, -1] += shift
+        kinds.append((shifted, s if reset else net.spikes_of(shifted)))
+    bad_s = s.copy()
+    if reset:
+        bad_s[:, -1] += 2
+    else:
+        bad_s[:, 0] ^= 1
+    kinds.append((v, bad_s))
+    powers = np.arange(n - 1, -1, -1)
+    rows_v, rows_s = [], []
+    for kv, ks in kinds:
+        alias = (kv - lo) @ card**powers
+        if reset:
+            alias = alias * (1 << n) + ks @ (1 << powers)
+        hits = np.zeros(total, dtype=bool)
+        tv, ts = kv, ks
+        for _ in range(horizon):
+            tv, ts = net.step_arrays(tv, ts)
+            hits |= _encode_rows(net, tv, ts) == alias
+        picked = np.flatnonzero(hits)[:per_kind]
+        rows_v.append(kv[picked])
+        rows_s.append(ks[picked])
+    return np.concatenate(rows_v), np.concatenate(rows_s)
+
+
 @pytest.mark.parametrize("case", range(len(MODES)))
 def test_batch_scan_off_lattice_start_rows(case):
     # A start row that is no lattice state never recurs; the batch must
@@ -342,12 +517,16 @@ def test_batch_scan_off_lattice_start_rows(case):
     else:
         s[3:6, 0] ^= 1  # spikes inconsistent with v
     s[0:3] = net.spikes_of(v[0:3])  # off by v alone
-    assert (_encode_rows(net, v, s)[:6] == -1).all()
-    assert (_encode_rows(net, v, s)[6:] >= 0).all()
     horizon = int(enumerate_state_graph(net).transients.max()) + 12
+    trap_v, trap_s = aliasing_starts(net, horizon)
+    assert len(trap_v) >= 1
+    v, s = np.concatenate((trap_v, v)), np.concatenate((trap_s, s))
+    off = 6 + len(trap_v)
+    assert (_encode_rows(net, v, s)[:off] == -1).all()
+    assert (_encode_rows(net, v, s)[off:] >= 0).all()
     lanes = one_state_scans(net, v, s, horizon)
     assert batch_scan(net, v, s, horizon) == lanes
-    assert all(mu >= 1 for mu, _ in lanes[:6])
+    assert all(mu >= 1 for mu, _ in lanes[:off])
 
 
 def test_batch_scan_off_lattice_object_mode():
@@ -457,6 +636,37 @@ def test_detection_mismatches_finds_planted_errors():
     report.transients[report.state_count - 1] += 1
     report.periods[report.state_count - 1] += 1
     assert detection_mismatches(net, report) == planted
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_peak_memory_below_walk():
+    # A few N-sized arrays against the walk's Python lists of N; both
+    # sides include the successor step and the report.
+    net = Network(
+        n=3,
+        weights=generate_topology(3, 0.8, -2, 2, seed=derive_seed(70, 0)),
+        thresholds=sample_thresholds(3, 1, 4, seed=derive_seed(70, 1)),
+        leak_k=1,
+        domain=IntegerDomain(4),
+        reset_mode=RESET_SUBTRACT,
+    )
+    total = state_space_size(net)
+    assert total == 32768
+    enum_peak = traced_peak(lambda: enumerate_state_graph(net))
+    walk_peak = traced_peak(lambda: walk_successors(_successor_indices(net, total)))
+    assert enum_peak < walk_peak
+    succ = _successor_indices(net, total)
+    assert traced_peak(lambda: resolve_successors(succ)) < traced_peak(
+        lambda: walk_successors(succ)
+    )
 
 
 def test_enumerate_budget_refusal():

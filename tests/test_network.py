@@ -263,6 +263,49 @@ def test_step_matches_reference_across_modes():
                             assert [int(x) for x in bs] == [int(x) for x in s]
 
 
+@pytest.mark.parametrize("reset", [RESET_NONE, RESET_SUBTRACT])
+@pytest.mark.parametrize("signedness", [UNSIGNED, SIGNED])
+@pytest.mark.parametrize("bits", [3, 16, 63, 64])
+def test_wrap_step_matches_scalar_clamp_far_outside_domain(bits, signedness, reset):
+    # Weights of several cardinalities (up to the int64 limit) push the
+    # raw potential laps below and above the lattice; the vector wrap must
+    # agree with arith.clamp, in int64 and in object mode alike.
+    domain = IntegerDomain(bits, signedness, WRAP)
+    big = min(5 * domain.cardinality + 3, (1 << 63) - 1)
+    net = Network(
+        n=3,
+        weights=np.array([[0, big, big], [-big, 0, -big], [big, -big, 0]]),
+        thresholds=np.array([1, 2, 3]),
+        leak_k=1,
+        domain=domain,
+        reset_mode=reset,
+    )
+    assert net.state_dtype == (object if bits >= 63 else np.int64)
+    gen = np.random.default_rng(bits)
+    lo, hi = domain.min_value, domain.max_value
+    v = np.array(
+        [[lo, hi, 0], [hi, lo, hi]]
+        + [[lo + int(gen.integers(0, 1 << 62)) % (hi - lo) for _ in range(3)]
+           for _ in range(14)],
+        dtype=net.state_dtype,
+    )
+    s = np.ones((16, 3), dtype=np.int64)
+    s[2:] = gen.integers(0, 2, size=(14, 3))
+    raws = [
+        int(x) - (int(x) >> 1) + sum(int(w) * int(b) for w, b in zip(row, bits_))
+        for vrow, bits_ in zip(v, s)
+        for x, row in zip(vrow, net.weights)
+    ]
+    # at least a quarter lap out on both sides; many laps below 63 bits
+    assert min(raws) < lo - domain.cardinality // 4
+    assert max(raws) > hi + domain.cardinality // 4
+    for _ in range(3):
+        want = [reference_step(net, rv, rs) for rv, rs in zip(v, s)]
+        v, s = net.step_arrays(v, s)
+        assert [[int(x) for x in row] for row in v] == [w[0] for w in want]
+        assert [[int(x) for x in row] for row in s] == [w[1] for w in want]
+
+
 def test_object_mode_only_when_int64_could_overflow():
     small = Network(
         n=2,
