@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .config import load_config, parse_int_list
+from .config import _SCHEMA, load_config, parse_int_list
 from .dynamics import (
     detect_cycle,
     detection_mismatches,
@@ -51,9 +51,13 @@ def _ensure_dir(path: str) -> Path:
     return out
 
 
-def _env_workers() -> int | None:
+def _workers(config) -> int | None:
+    """Pool size: `workers` from the flag or the config file, which
+    config.workers already holds in that precedence, else INTSNN_WORKERS."""
+    if config.workers is not None:
+        return config.workers
     raw = os.environ.get("INTSNN_WORKERS")
-    if raw is None or raw == "":
+    if not raw:
         return None
     try:
         return int(raw)
@@ -61,26 +65,9 @@ def _env_workers() -> int | None:
         raise ValueError(f"INTSNN_WORKERS must be an integer, got {raw!r}")
 
 
-def _resolve_workers(flag_value: int | None, config_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return _env_workers()
-
-
 def _grid_overrides(args) -> dict[str, object]:
-    keys = (
-        "sizes", "densities", "bits", "horizon", "threshold_lo",
-        "threshold_hi", "leak_k", "seeds_per_cell", "master_seed",
-        "weight_lo", "weight_hi", "signedness", "overflow_mode",
-        "reset_mode", "output_dir", "workers", "figures", "variant",
-    )
-    out: dict[str, object] = {}
-    for key in keys:
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    return out
+    """The flags of `args` that name a config key."""
+    return {key: getattr(args, key) for key in _SCHEMA if hasattr(args, key)}
 
 
 def _write_sweep_figures(out: Path, summaries, label: str) -> None:
@@ -218,7 +205,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, _grid_overrides(args))
     grid = config.grid
     grid.validate()
-    workers = _resolve_workers(args.workers, config.workers)
+    workers = _workers(config)
     out = _ensure_dir(args.out or config.output_dir)
     _run_and_write(grid, out, workers, config.figures, config.variant or "sweep")
     return 0
@@ -230,7 +217,7 @@ def cmd_focused(args) -> int:
     config = load_config(args.config, overrides)
     bit_widths = parse_int_list(args.bits) if args.bits else None
     grid = focused_grid(config.grid, bit_widths, args.n, args.density, args.seeds)
-    workers = _resolve_workers(args.workers, config.workers)
+    workers = _workers(config)
     out = _ensure_dir(args.out or config.output_dir)
     summaries = _run_and_write(grid, out, workers, config.figures, "focused")
     write_focused_csv(summaries, out / "focused_summary.csv")

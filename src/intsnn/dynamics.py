@@ -76,28 +76,22 @@ def simulate(net: Network, init: NetworkState, horizon: int) -> Trajectory:
 
 def first_revisit(
     net: Network, init: NetworkState, horizon: int
-) -> tuple[list[np.ndarray] | None, CycleReport | tuple[np.ndarray, np.ndarray]]:
-    """First-visit recurrence scan over the full (v, s) state.
+) -> tuple[list[np.ndarray], CycleReport]:
+    """First-visit recurrence scan over the full (v, s) state of one
+    trajectory, v and s of shape (n,).
 
-    `init` holds one state, v and s of shape (n,), or a batch of lanes
-    of shape (B, n). On the first revisit at time t2 of a state first
-    seen at t1 the scan reports transient t1 and period t2 - t1. The
-    first repeat of a deterministic map is always the cycle entry state,
-    so the transient is exact. A trajectory with no repeat within
-    `horizon` steps is censored.
-
-    One state keeps a map from visited state to first-visit time and
+    On the first revisit at time t2 of a state first seen at t1 the scan
+    reports transient t1 and period t2 - t1. The first repeat of a
+    deterministic map is always the cycle entry state, so the transient
+    is exact. A trajectory with no repeat within `horizon` steps is
+    censored. Keeps a map from visited state to first-visit time and
     returns the spike vectors of steps 1..t2, or of all `horizon` steps
-    when censored, as uint8, and the CycleReport. A batch returns None
-    and two int64 arrays (transients, periods), -1 for censored lanes;
-    see _batch_revisits.
+    when censored, as uint8, and the CycleReport.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     v = np.asarray(init.v)
     s = np.asarray(init.s)
-    if v.ndim > 1:
-        return None, _batch_revisits(net, v, s, horizon)
     # Spikes are 0 or 1, so uint8 encodes them exactly; keys and rows
     # then hold one byte per neuron for them, not eight.
     seen = {net.state_key(v, s.astype(np.uint8)): 0}
@@ -131,6 +125,8 @@ def _batch_revisits(
     A space of 2^63 or more states has no int64 codes; its lanes are
     scanned one at a time instead.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     found_at = np.full((2, len(v)), -1, dtype=np.int64)
     if state_space_size(net) >= 1 << 63:
         for lane in range(len(v)):
@@ -173,6 +169,9 @@ def detect_cycle(
     """Transient and period of the trajectory from `init`, or censored
     when no state repeats within `horizon` steps. For a (B, n) batch,
     two int64 arrays (transients, periods) with -1 for censored lanes."""
+    v = np.asarray(init.v)
+    if v.ndim > 1:
+        return _batch_revisits(net, v, np.asarray(init.s), horizon)
     return first_revisit(net, init, horizon)[1]
 
 

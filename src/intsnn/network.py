@@ -48,8 +48,6 @@ def generate_topology(
     threshold = bernoulli_threshold(density)
     if threshold >= 1 << 64:
         mask = np.ones(offdiag.size, dtype=bool)
-    elif threshold == 0:
-        mask = np.zeros(offdiag.size, dtype=bool)
     else:
         mask = raw < np.uint64(threshold)
     picked = offdiag[mask]

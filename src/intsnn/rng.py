@@ -3,6 +3,8 @@
 Seed derivation uses SplitMix64; draws come from xoshiro256**. Both
 follow the published reference algorithms bit for bit, so every stream
 is reproducible across machines and independent of any library RNG.
+raw_block and uniform_ints serve the program; next_u64, uniform_int,
+getstate and setstate are the references the tests hold them to.
 """
 
 from __future__ import annotations
@@ -124,24 +126,21 @@ class Xoshiro256StarStar:
                 return lo + (u % span)
 
     def uniform_ints(self, lo: int, hi: int, count: int) -> list[int]:
-        """Sequence identical to `count` sequential uniform_int draws.
+        """Values and end state of `count` sequential uniform_int draws.
 
-        Fast path: draw a raw block and map it, which matches the
-        sequential semantics whenever no draw is rejected; on any
-        rejection the generator state is rolled back and the honest
-        one-at-a-time loop runs instead.
-        """
+        Each refill draws a raw block of the values still missing and
+        keeps lo + u % span for each u below limit, in order: the raw
+        outputs sequential draws accept, and none past the last one."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         if count < 0:
             raise ValueError(f"negative count {count}")
         span = hi - lo + 1
-        if span > (1 << 48):
-            return [self.uniform_int(lo, hi) for _ in range(count)]
+        if span > TWO64:
+            raise ValueError("range wider than 64 bits")
         limit = TWO64 - (TWO64 % span)
-        snapshot = self.getstate()
-        raw = self.raw_block(count)
-        if limit == TWO64 or all(u < limit for u in raw):
-            return [lo + (u % span) for u in raw]
-        self.setstate(snapshot)
-        return [self.uniform_int(lo, hi) for _ in range(count)]
+        out: list[int] = []
+        while len(out) < count:
+            raw = self.raw_block(count - len(out))
+            out.extend([lo + u % span for u in raw if u < limit])
+        return out

@@ -118,9 +118,20 @@ class SweepGrid:
             raise ValueError(
                 f"threshold_lo {t_lo} exceeds threshold_hi {t_hi}"
             )
+        # Exact uniform draws map one 64-bit output onto the range.
+        if t_hi - t_lo + 1 > 1 << 64:
+            raise ValueError(
+                f"threshold_hi - threshold_lo + 1 must be at most 2^64, "
+                f"got {t_hi - t_lo + 1}"
+            )
         w_lo, w_hi = self.weight_range
         if w_lo > w_hi:
             raise ValueError(f"weight_lo {w_lo} exceeds weight_hi {w_hi}")
+        # Weights are stored as int64.
+        if w_lo < -(1 << 63):
+            raise ValueError(f"weight_lo must be >= -2^63, got {w_lo}")
+        if w_hi > (1 << 63) - 1:
+            raise ValueError(f"weight_hi must be <= 2^63 - 1, got {w_hi}")
         if w_lo == w_hi == 0:
             raise ValueError("weight_lo = weight_hi = 0 leaves no nonzero weight")
         modes = (
@@ -341,6 +352,8 @@ def run_focused(
 def top_recurrent(records: list[MetricsRecord], count: int) -> list[MetricsRecord]:
     """Records ranked by pseudo-rank, descending; ties fall back to
     firing rate (descending), then run_id (ascending)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if not records:
         raise ValueError("no records to rank")
     ranked = sorted(

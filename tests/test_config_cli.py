@@ -309,6 +309,40 @@ def test_cli_report(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_report_refuses_count_below_one(tmp_path, capsys, count):
+    src = tmp_path / "src"
+    cfg = write_small_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", str(src)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "rep"
+    args = ["report", "--records", str(src / "records.csv"), "--count", count,
+            "--out", str(out)]
+    assert main(args) == 1
+    assert f"count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--weight-lo", str(1 << 63), "--weight-hi", str((1 << 63) + 2)),
+         f"weight_hi must be <= 2^63 - 1, got {(1 << 63) + 2}"),
+        (("--weight-lo", str(-(1 << 63) - 1)),
+         f"weight_lo must be >= -2^63, got {-(1 << 63) - 1}"),
+        (("--threshold-hi", str(1 << 70)),
+         "threshold_hi - threshold_lo + 1 must be at most 2^64"),
+    ],
+)
+def test_cli_sweep_refuses_unsampleable_ranges_before_writing(
+    tmp_path, capsys, flags, message
+):
+    out = tmp_path / "o"
+    assert main(sweep_args(out, flags)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_cell_rerun_matches_sweep_row(tmp_path):
     cfg = write_small_config(tmp_path)
     out = tmp_path / "o"

@@ -22,7 +22,6 @@ from intsnn.dynamics import (
     detection_mismatches,
     encode_state,
     enumerate_state_graph,
-    first_revisit,
     oracle_json,
     resolve_successors,
     simulate,
@@ -417,8 +416,7 @@ def one_state_scans(net, v, s, horizon):
 
 
 def batch_scan(net, v, s, horizon):
-    rows, (transients, periods) = first_revisit(net, NetworkState(v=v, s=s), horizon)
-    assert rows is None
+    transients, periods = detect_cycle(net, NetworkState(v=v, s=s), horizon)
     assert transients.dtype == periods.dtype == np.int64
     return list(zip(transients.tolist(), periods.tolist()))
 

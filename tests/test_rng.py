@@ -165,7 +165,19 @@ def test_uniform_ints_matches_sequential():
         assert bulk_gen.getstate() == seq_gen.getstate()
 
 
-def test_uniform_ints_rollback_preserves_rejection_semantics():
+def test_uniform_ints_half_rejected_span_refills():
+    # span 2**63 + 1 rejects every raw draw >= 2**63 + 1, about half of
+    # them, so each call runs several refills of the missing draws.
+    hi = 1 << 63
+    for seed in range(20):
+        bulk_gen = Xoshiro256StarStar(seed)
+        seq_gen = Xoshiro256StarStar(seed)
+        bulk = bulk_gen.uniform_ints(0, hi, 16)
+        assert bulk == [seq_gen.uniform_int(0, hi) for _ in range(16)]
+        assert bulk_gen.getstate() == seq_gen.getstate()
+
+
+def test_uniform_ints_preserves_rejection_semantics():
     state = (7, 0x4FC71C71C71C71C7, 11, 13)  # first draw rejected for span 3
     bulk_gen = Xoshiro256StarStar(0)
     bulk_gen.setstate(state)

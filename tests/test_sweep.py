@@ -90,6 +90,12 @@ def test_grid_validation():
         SweepGrid(seeds_per_cell=0).validate()
     # the boundary values themselves are accepted
     tiny_grid(sizes=[1], densities=[0.0, 1.0], bit_widths=[1, 64]).validate()
+    tiny_grid(weight_range=(-(1 << 63), (1 << 63) - 1)).validate()
+    tiny_grid(threshold_range=(1, 1 << 64)).validate()
+    # and the builder samples them: int64 weights, a 2^64 threshold span
+    for kwargs in ({"weight_range": (-(1 << 63), (1 << 63) - 1)},
+                   {"threshold_range": (1 << 70, (1 << 70) + (1 << 64) - 1)}):
+        assert len(run_grid(tiny_grid(sizes=[3], **kwargs))) == 4
 
 
 @pytest.mark.parametrize(
@@ -113,6 +119,12 @@ def test_grid_validation():
         ("signedness", "twos", "signedness must be one of"),
         ("overflow_mode", "clip", "overflow_mode must be one of"),
         ("reset_mode", "zero", "reset_mode must be one of"),
+        ("weight_range", (-(1 << 63) - 1, 4), r"weight_lo must be >= -2\^63"),
+        ("weight_range", (1 << 63, (1 << 63) + 2), r"weight_hi must be <= 2\^63 - 1"),
+        ("threshold_range", (1, (1 << 64) + 1),
+         r"threshold_hi - threshold_lo \+ 1 must be at most 2\^64"),
+        ("threshold_range", (4, 1 << 70),
+         r"threshold_hi - threshold_lo \+ 1 must be at most 2\^64"),
     ],
 )
 def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message):
