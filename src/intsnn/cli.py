@@ -53,16 +53,20 @@ def _ensure_dir(path: str) -> Path:
 
 def _workers(config) -> int | None:
     """Pool size: `workers` from the flag or the config file, which
-    config.workers already holds in that precedence, else INTSNN_WORKERS."""
-    if config.workers is not None:
-        return config.workers
-    raw = os.environ.get("INTSNN_WORKERS")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"INTSNN_WORKERS must be an integer, got {raw!r}")
+    config.workers already holds in that precedence, else INTSNN_WORKERS.
+    Refused below 1 before anything runs or is written."""
+    workers, source = config.workers, "workers"
+    if workers is None:
+        raw = os.environ.get("INTSNN_WORKERS")
+        if not raw:
+            return None
+        try:
+            workers, source = int(raw), "workers (INTSNN_WORKERS)"
+        except ValueError:
+            raise ValueError(f"INTSNN_WORKERS must be an integer, got {raw!r}")
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _grid_overrides(args) -> dict[str, object]:

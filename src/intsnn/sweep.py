@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -249,10 +250,21 @@ def _measure_run(
 
 
 def run_cell(
-    grid: SweepGrid, n: int, density: float, bits: int, seed_idx: int
+    grid: SweepGrid,
+    n: int,
+    density: float,
+    bits: int,
+    seed_idx: int,
+    *,
+    net: Network | None = None,
 ) -> MetricsRecord:
-    """One record, reproducible in isolation from the grid parameters."""
-    net = build_network(grid, n, density, bits)
+    """One record, reproducible in isolation from the grid parameters.
+
+    `net`, when given, must be `build_network(grid, n, density, bits)`;
+    it lets the seeds of one cell share a network built once.
+    """
+    if net is None:
+        net = build_network(grid, n, density, bits)
     _, _, init_seed = cell_seeds(grid.master_seed, n, density, bits, seed_idx)
     init = initial_state(net, init_seed)
     rate, active, rank, cycle = _measure_run(
@@ -275,32 +287,51 @@ class CellError(RuntimeError):
     """A grid cell raised; the message names the cell's run_id."""
 
 
-def _run_cell_args(args) -> MetricsRecord:
-    grid, *cell = args
+def _run_cell_args(args) -> list[MetricsRecord]:
+    """The records of one network: every seed index of an `(n, density,
+    bits)` cell. A lone seed lets `run_cell` build the network, exactly
+    as a standalone rerun does."""
+    grid, n, density, bits, seed_idxs = args
+    run_id = format_run_id(n, density, bits, seed_idxs[0])
     try:
-        return run_cell(grid, *cell)
+        net = build_network(grid, n, density, bits) if len(seed_idxs) > 1 else None
+        records = []
+        for seed_idx in seed_idxs:
+            run_id = format_run_id(n, density, bits, seed_idx)
+            records.append(run_cell(grid, n, density, bits, seed_idx, net=net))
+        return records
     except Exception as exc:
         raise CellError(
-            f"cell {format_run_id(*cell)} failed: {type(exc).__name__}: {exc}"
+            f"cell {run_id} failed: {type(exc).__name__}: {exc}"
         ) from exc
 
 
 def run_grid(grid: SweepGrid, workers: int | None = None) -> list[MetricsRecord]:
     """Every cell of the grid, sorted by run_id.
 
-    Records are independent of worker count and scheduling: each cell
-    derives its own seeds from the master seed, and aggregation sorts by
-    run_id before returning. A cell that raises, in this process or in
-    a pool worker, is raised again as a CellError naming its run_id.
+    One job builds one `(n, density, bits)` network and runs all its
+    seed indices. Records are independent of worker count and
+    scheduling: each cell derives its own seeds from the master seed,
+    and aggregation sorts by run_id before returning. A cell that
+    raises, in this process or in a pool worker, is raised again as a
+    CellError naming its run_id (seed 0's if the build raised).
+    `workers` must be at least 1; the pool never has more processes
+    than there are jobs.
     """
     grid.validate()
-    jobs = [(grid, *cell) for cell in grid.cells()]
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [
+        (grid, *key, [cell[3] for cell in cells])
+        for key, cells in itertools.groupby(grid.cells(), key=lambda c: c[:3])
+    ]
     if workers is not None and workers > 1 and len(jobs) > 1:
         chunk = max(1, len(jobs) // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_run_cell_args, jobs, chunksize=chunk)
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+            groups = pool.map(_run_cell_args, jobs, chunksize=chunk)
     else:
-        records = [_run_cell_args(job) for job in jobs]
+        groups = [_run_cell_args(job) for job in jobs]
+    records = [record for group in groups for record in group]
     records.sort(key=lambda r: r.run_id)
     return records
 

@@ -244,6 +244,40 @@ def test_cli_sweep_honors_worker_env(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "focused"])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_refuses_workers_below_one_before_writing(
+    tmp_path, monkeypatch, capsys, command, source, workers
+):
+    cfg = write_small_config(tmp_path)
+    out = tmp_path / "o"
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if source == "flag":
+        args += ["--workers", workers]
+    elif source == "config":
+        cfg.write_text(cfg.read_text() + f"workers = {workers}\n")
+    else:
+        monkeypatch.setenv("INTSNN_WORKERS", workers)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"workers.* must be >= 1, got {workers}", err), err
+    assert not out.exists()
+
+
+def test_cli_focused_outputs_identical_across_workers(tmp_path):
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main([
+            "focused", "--out", str(out), "--n", "6", "--bits", "2..4",
+            "--seeds", "3", "--horizon", "40", "--workers", workers,
+        ]) == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "focused_summary.csv" in outputs["1"]
+    assert outputs["1"] == outputs["2"]
+
+
 def test_cli_focused(tmp_path):
     out = tmp_path / "focused"
     args = [

@@ -139,16 +139,86 @@ def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message
 def test_run_grid_names_the_failing_cell(monkeypatch, workers):
     real_run_cell = sweep.run_cell
 
-    def run_cell(grid, n, density, bits, seed_idx):
+    def run_cell(grid, n, density, bits, seed_idx, *, net=None):
         if (n, bits, seed_idx) == (5, 4, 1):
             raise ZeroDivisionError("planted failure")
-        return real_run_cell(grid, n, density, bits, seed_idx)
+        return real_run_cell(grid, n, density, bits, seed_idx, net=net)
 
     # Pool workers are forked, so they see the patched module too.
     monkeypatch.setattr(sweep, "run_cell", run_cell)
     message = r"cell N005-d0\.5-b04-s1 failed: ZeroDivisionError: planted failure"
     with pytest.raises(CellError, match=message):
         run_grid(tiny_grid(), workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_names_seed_zero_when_the_build_fails(monkeypatch, workers):
+    real_build = sweep.build_network
+
+    def build_network(grid, n, density, bits):
+        if (n, bits) == (5, 2):
+            raise MemoryError("planted build failure")
+        return real_build(grid, n, density, bits)
+
+    monkeypatch.setattr(sweep, "build_network", build_network)
+    message = r"cell N005-d0\.5-b02-s0 failed: MemoryError: planted build failure"
+    with pytest.raises(CellError, match=message):
+        run_grid(tiny_grid(), workers=workers)
+
+
+def test_run_grid_builds_each_network_once(monkeypatch):
+    grid = tiny_grid(seeds_per_cell=3)
+    built = []
+    real_build = sweep.build_network
+
+    def build_network(grid, n, density, bits):
+        built.append((n, density, bits))
+        return real_build(grid, n, density, bits)
+
+    monkeypatch.setattr(sweep, "build_network", build_network)
+    records = run_grid(grid, workers=1)
+    assert sorted(built) == [(3, 0.5, 2), (3, 0.5, 4), (5, 0.5, 2), (5, 0.5, 4)]
+    monkeypatch.undo()
+    alone = [run_cell(grid, r.n, r.density, r.bits, r.seed) for r in records]
+    assert len(records) == 12
+    assert records == alone
+    assert run_grid(grid, workers=2) == alone
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_grid_refuses_workers_below_one(monkeypatch, workers):
+    def run_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_grid(tiny_grid(), workers=workers)
+
+
+def test_run_grid_caps_the_pool_at_the_job_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool without starting a process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(sweep.multiprocessing, "Pool", SerialPool)
+    grid = tiny_grid()
+    records = run_grid(grid, workers=10**6)
+    assert sizes == [4]  # 2 sizes x 2 bit widths, 2 seeds each
+    monkeypatch.undo()
+    assert records == run_grid(grid)
 
 
 def test_format_run_id():
