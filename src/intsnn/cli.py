@@ -11,7 +11,6 @@ from time import perf_counter
 
 from .config import _SCHEMA, load_config, parse_int_list
 from .dynamics import (
-    detect_cycle,
     detection_mismatches,
     enumerate_state_graph,
     oracle_json,
@@ -20,11 +19,7 @@ from .dynamics import (
 )
 from .metrics import (
     BitsSummary,
-    active_fraction,
-    default_window,
     delay_embed,
-    firing_rate,
-    pseudo_rank,
     read_records_csv,
     summarize,
     write_focused_csv,
@@ -38,6 +33,7 @@ from .sweep import (
     build_network,
     cell_seeds,
     focused_grid,
+    run_cell,
     run_grid,
     top_recurrent,
     write_manifest,
@@ -138,6 +134,7 @@ def cmd_simulate(args) -> int:
     )
     init = initial_state(net, init_seed)
     traj = simulate(net, init, grid.horizon)
+    record = run_cell(grid, n, density, bits, args.seed, net=net)
     out = _ensure_dir(args.out or config.output_dir)
 
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -174,13 +171,13 @@ def cmd_simulate(args) -> int:
             ),
         )
 
-    window = default_window(grid.horizon)
-    cycle = detect_cycle(net, init, grid.horizon)
+    # The printed metrics are the record `intsnn sweep` writes for this cell.
+    cycle = record.cycle
     print(
         f"run {n=} density={density:g} bits={bits} seed={args.seed}: "
-        f"rate={firing_rate(traj.raster):.4f} "
-        f"active={active_fraction(traj.raster):.4f} "
-        f"rank={pseudo_rank(traj.raster, window)} cycle={cycle.status}"
+        f"rate={record.mean_firing_rate:.4f} "
+        f"active={record.active_fraction:.4f} "
+        f"rank={record.pseudo_rank} cycle={cycle.status}"
         + (
             f" transient={cycle.transient} period={cycle.period}"
             if cycle.status == "detected"

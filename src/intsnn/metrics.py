@@ -350,28 +350,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_records_csv(records: list[MetricsRecord], path) -> None:
-    lines = [",".join(RECORD_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    r.run_id,
-                    r.n,
-                    r.density,
-                    r.bits,
-                    r.seed,
-                    r.mean_firing_rate,
-                    r.active_fraction,
-                    r.pseudo_rank,
-                    r.cycle.status,
-                    r.cycle.transient,
-                    r.cycle.period,
-                )
-            )
-        )
+def _write_table(path, columns, rows) -> None:
+    """CSV with header `columns` and one line per row of values."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     write_text(path, "\n".join(lines) + "\n")
+
+
+def write_records_csv(records: list[MetricsRecord], path) -> None:
+    # The last three columns are the fields of the record's CycleReport.
+    _write_table(
+        path,
+        RECORD_COLUMNS,
+        (
+            [getattr(r, c) for c in RECORD_COLUMNS[:-3]]
+            + [r.cycle.status, r.cycle.transient, r.cycle.period]
+            for r in records
+        ),
+    )
 
 
 def read_records_csv(path) -> list[MetricsRecord]:
@@ -384,22 +380,22 @@ def read_records_csv(path) -> list[MetricsRecord]:
         parts = line.split(",")
         if len(parts) != len(RECORD_COLUMNS):
             raise ValueError(f"malformed records row: {line!r}")
-        status = parts[8]
+        row = dict(zip(RECORD_COLUMNS, parts))
         cycle = CycleReport(
-            status=status,
-            transient=int(parts[9]) if parts[9] else None,
-            period=int(parts[10]) if parts[10] else None,
+            status=row["cycle_status"],
+            transient=int(row["transient"]) if row["transient"] else None,
+            period=int(row["period"]) if row["period"] else None,
         )
         records.append(
             MetricsRecord(
-                run_id=parts[0],
-                n=int(parts[1]),
-                density=float(parts[2]),
-                bits=int(parts[3]),
-                seed=int(parts[4]),
-                mean_firing_rate=float(parts[5]),
-                active_fraction=float(parts[6]),
-                pseudo_rank=int(parts[7]),
+                run_id=row["run_id"],
+                n=int(row["n"]),
+                density=float(row["density"]),
+                bits=int(row["bits"]),
+                seed=int(row["seed"]),
+                mean_firing_rate=float(row["mean_firing_rate"]),
+                active_fraction=float(row["active_fraction"]),
+                pseudo_rank=int(row["pseudo_rank"]),
                 cycle=cycle,
             )
         )
@@ -407,33 +403,17 @@ def read_records_csv(path) -> list[MetricsRecord]:
 
 
 def write_summary_csv(summaries: list[BitsSummary], path) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    s.bits,
-                    s.mean_firing_rate,
-                    s.mean_active_fraction,
-                    s.mean_pseudo_rank,
-                    s.median_cycle,
-                    s.censor_fraction,
-                    s.run_count,
-                )
-            )
-        )
-    write_text(path, "\n".join(lines) + "\n")
+    _write_table(
+        path,
+        SUMMARY_COLUMNS,
+        ([getattr(s, c) for c in SUMMARY_COLUMNS] for s in summaries),
+    )
 
 
 def write_focused_csv(summaries: list[BitsSummary], path) -> None:
     """Companion table for repeated-run cells: firing-rate spread."""
-    lines = [",".join(FOCUSED_COLUMNS)]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (s.bits, s.mean_firing_rate, s.std_firing_rate, s.run_count)
-            )
-        )
-    write_text(path, "\n".join(lines) + "\n")
+    _write_table(
+        path,
+        FOCUSED_COLUMNS,
+        ([getattr(s, c) for c in FOCUSED_COLUMNS] for s in summaries),
+    )

@@ -104,6 +104,11 @@ class SweepGrid:
         for bits in self.bit_widths:
             if not 1 <= bits <= 64:
                 raise ValueError(f"bits must lie in 1..64, got {bits}")
+        # Seeds are folded modulo 2^64, so -1 would alias 2^64 - 1.
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(
+                f"master_seed must lie in 0..2^64 - 1, got {self.master_seed}"
+            )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.seeds_per_cell < 1:
@@ -176,7 +181,10 @@ def cell_seeds(
     Topology and thresholds ignore seed_idx, so repeated-run cells share
     one network while the initial state varies. Standalone reruns need
     only the parameter values, never a position inside some grid.
+    `seed_idx` must lie in 0..2^64 - 1, or it would alias another.
     """
+    if not 0 <= seed_idx < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2^64 - 1, got {seed_idx}")
     dkey = float_key(density)
     topology = derive_seed(master_seed, STREAM_TOPOLOGY, n, dkey, bits)
     thresholds = derive_seed(master_seed, STREAM_THRESHOLDS, n, dkey, bits)
@@ -289,12 +297,11 @@ class CellError(RuntimeError):
 
 def _run_cell_args(args) -> list[MetricsRecord]:
     """The records of one network: every seed index of an `(n, density,
-    bits)` cell. A lone seed lets `run_cell` build the network, exactly
-    as a standalone rerun does."""
+    bits)` cell, run on that network built once."""
     grid, n, density, bits, seed_idxs = args
     run_id = format_run_id(n, density, bits, seed_idxs[0])
     try:
-        net = build_network(grid, n, density, bits) if len(seed_idxs) > 1 else None
+        net = build_network(grid, n, density, bits)
         records = []
         for seed_idx in seed_idxs:
             run_id = format_run_id(n, density, bits, seed_idx)

@@ -172,6 +172,8 @@ def test_cli_simulate_rejects_bad_neuron_index(tmp_path, capsys):
         (("--tau", "5000"), "tau must lie in 1..40, got 5000"),
         (("--threshold-lo", "5", "--threshold-hi", "3"),
          "threshold_lo 5 exceeds threshold_hi 3"),
+        # Seeds fold modulo 2^64: -1 would simulate seed 2^64 - 1.
+        (("--seed", "-1"), "seed must lie in 0..2^64 - 1, got -1"),
     ],
 )
 def test_cli_simulate_rejects_bad_flags_before_writing(
@@ -377,7 +379,7 @@ def test_cli_sweep_refuses_unsampleable_ranges_before_writing(
     assert not out.exists()
 
 
-def test_cli_cell_rerun_matches_sweep_row(tmp_path):
+def test_cli_cell_rerun_matches_sweep_row(tmp_path, capsys):
     cfg = write_small_config(tmp_path)
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -386,6 +388,22 @@ def test_cli_cell_rerun_matches_sweep_row(tmp_path):
     config = load_config(str(cfg))
     alone = run_cell(config.grid, probe.n, probe.density, probe.bits, probe.seed)
     assert alone == probe
+    # `intsnn simulate` on the same cell prints that row's metrics.
+    capsys.readouterr()
+    assert main([
+        "simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+        "--n", str(probe.n), "--density", str(probe.density),
+        "--bits", str(probe.bits), "--seed", str(probe.seed), "--no-figures",
+    ]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    cycle = probe.cycle
+    assert line.endswith(
+        f"rate={probe.mean_firing_rate:.4f} "
+        f"active={probe.active_fraction:.4f} "
+        f"rank={probe.pseudo_rank} cycle={cycle.status}"
+        + (f" transient={cycle.transient} period={cycle.period}"
+           if cycle.status == "detected" else "")
+    )
 
 
 def test_module_invocation_smoke():

@@ -14,7 +14,7 @@ from intsnn.metrics import (
     pseudo_rank,
 )
 from intsnn import sweep
-from intsnn.network import Network, NetworkState, initial_state
+from intsnn.network import Network, NetworkState, initial_state, network_to_json
 from intsnn.sweep import (
     DEFAULT_MASTER_SEED,
     CellError,
@@ -125,6 +125,9 @@ def test_grid_validation():
          r"threshold_hi - threshold_lo \+ 1 must be at most 2\^64"),
         ("threshold_range", (4, 1 << 70),
          r"threshold_hi - threshold_lo \+ 1 must be at most 2\^64"),
+        # Seeds fold modulo 2^64: -1 would run the cells of 2^64 - 1.
+        ("master_seed", -1, r"master_seed must lie in 0\.\.2\^64 - 1, got -1"),
+        ("master_seed", 1 << 64, r"master_seed must lie in 0\.\.2\^64 - 1"),
     ],
 )
 def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message):
@@ -183,6 +186,26 @@ def test_run_grid_builds_each_network_once(monkeypatch):
     assert len(records) == 12
     assert records == alone
     assert run_grid(grid, workers=2) == alone
+
+    # A one-seed cell is a job too: it builds first and passes the net on.
+    lone = tiny_grid(seeds_per_cell=1)
+    real_run_cell = sweep.run_cell
+
+    def run_cell_given_net(grid, n, density, bits, seed_idx, *, net=None):
+        assert net is not None, "run_cell was left to build"
+        fresh = real_build(grid, n, density, bits)
+        assert network_to_json(net) == network_to_json(fresh)
+        return real_run_cell(grid, n, density, bits, seed_idx, net=net)
+
+    # Pool workers are forked, so they see the patched module too, and
+    # a failed assertion there comes back as a CellError.
+    monkeypatch.setattr(sweep, "run_cell", run_cell_given_net)
+    for workers in (1, 2):
+        records = run_grid(lone, workers=workers)
+        assert records == [
+            real_run_cell(lone, r.n, r.density, r.bits, r.seed) for r in records
+        ]
+        assert len(records) == 4
 
 
 @pytest.mark.parametrize("workers", [0, -3])
