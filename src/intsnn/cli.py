@@ -11,6 +11,7 @@ from time import perf_counter
 
 from .config import _SCHEMA, load_config, parse_int_list
 from .dynamics import (
+    DEFAULT_STATE_BUDGET,
     detection_mismatches,
     enumerate_state_graph,
     oracle_json,
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--bits", dest="bits_value", type=int, required=True)
     orc.add_argument("--density", type=float, default=0.5)
-    orc.add_argument("--budget", type=int, default=1 << 20)
+    orc.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
     _add_model_flags(orc)
     orc.set_defaults(func=cmd_oracle)
 

@@ -2,10 +2,10 @@
 
 The update map is deterministic on a finite state space, so every
 trajectory is eventually periodic. detect_cycle finds the entry point
-and period of one trajectory by hashing visited states, or of a batch
-of lanes by sorting exact state codes; for small networks
-enumerate_state_graph resolves the entire map instead and serves as the
-ground truth the detector is tested against.
+and period of one trajectory by hashing visited states, or of the
+trajectories from a batch of start indices by sorting exact state
+codes; for small networks enumerate_state_graph resolves the entire map
+instead and serves as the ground truth the detector is tested against.
 """
 
 from __future__ import annotations
@@ -109,33 +109,36 @@ def first_revisit(
 
 
 def _batch_revisits(
-    net: Network, v: np.ndarray, s: np.ndarray, horizon: int
+    net: Network, starts: np.ndarray, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First revisit of every lane of a (B, n) batch.
+    """First revisit of the trajectory from each start state of an int64
+    array of enumeration indices, one lane per start.
 
-    Start rows get their codes from _encode_rows, -1 when off the
-    lattice. Each tick steps the live lanes once through step_arrays. At
-    ticks 8, 16, 32, ... and at `horizon` the states stepped since the
-    last such checkpoint, all on the lattice, get theirs in one
+    The indices are the tick-0 codes. Each tick steps the live lanes
+    once through step_arrays. At ticks 8, 16, 32, ... and at `horizon`
+    the states stepped since the last such checkpoint get theirs in one
     _lattice_codes call, one int64 code column per tick, and each lane's
     columns are sorted stably, so equal codes sit in time order: the
     smallest time that follows an equal code is the first revisit t2,
     and the entry before it the first visit t1, since every state before
     t2 occurs once. Lanes found there retire and their rows are dropped.
-    A space of 2^63 or more states has no int64 codes; its lanes are
-    scanned one at a time instead.
+    Refuses a space of 2^63 or more states, which has no int64 codes,
+    and a start outside 0..N-1.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    found_at = np.full((2, len(v)), -1, dtype=np.int64)
-    if state_space_size(net) >= 1 << 63:
-        for lane in range(len(v)):
-            report = first_revisit(net, NetworkState(v=v[lane], s=s[lane]), horizon)[1]
-            if report.status == DETECTED:
-                found_at[:, lane] = report.transient, report.period
-        return found_at[0], found_at[1]
-    lanes = np.arange(len(v))  # input lane of each live row
-    codes = _encode_rows(net, v, s)[:, None]  # ticks up to the last checkpoint
+    total = state_space_size(net)
+    if total >= 1 << 63:
+        raise ValueError(
+            f"state space has {total} states, whose codes do not fit int64"
+        )
+    outside = starts[(starts < 0) | (starts >= total)]
+    if outside.size:
+        raise ValueError(f"start index {outside[0]} lies outside 0..{total - 1}")
+    found_at = np.full((2, len(starts)), -1, dtype=np.int64)
+    lanes = np.arange(len(starts))  # input lane of each live row
+    v, s = _decode_indices(net, starts)
+    codes = starts[:, None]  # ticks up to the last checkpoint
     ticks = []  # states stepped since the last checkpoint
     checkpoint = 8
     for t in range(1, horizon + 1):
@@ -164,15 +167,15 @@ def _batch_revisits(
 
 
 def detect_cycle(
-    net: Network, init: NetworkState, horizon: int
+    net: Network, init: NetworkState | np.ndarray, horizon: int
 ) -> CycleReport | tuple[np.ndarray, np.ndarray]:
     """Transient and period of the trajectory from `init`, or censored
-    when no state repeats within `horizon` steps. For a (B, n) batch,
-    two int64 arrays (transients, periods) with -1 for censored lanes."""
-    v = np.asarray(init.v)
-    if v.ndim > 1:
-        return _batch_revisits(net, v, np.asarray(init.s), horizon)
-    return first_revisit(net, init, horizon)[1]
+    when no state repeats within `horizon` steps. Given an int64 array
+    of start-state indices instead, two int64 arrays (transients,
+    periods) with -1 for censored lanes."""
+    if isinstance(init, NetworkState):
+        return first_revisit(net, init, horizon)[1]
+    return _batch_revisits(net, init, horizon)
 
 
 @dataclass
@@ -278,21 +281,6 @@ def _lattice_codes(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     codes = digits @ net.domain.cardinality**powers
     if net.reset_mode != RESET_NONE:
         codes = codes * (1 << net.n) + s.astype(np.int64, copy=False) @ (1 << powers)
-    return codes
-
-
-def _encode_rows(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """_lattice_codes for rows from a caller, which may be no lattice
-    state (v outside the domain, spikes not 0 or 1, or, without reset,
-    s other than spikes_of(v)); such a row gets -1.
-    """
-    lo = net.domain.min_value
-    reset = net.reset_mode != RESET_NONE
-    off = (v < lo) | (v > net.domain.max_value)
-    off |= ((s != 0) & (s != 1)) if reset else (s != net.spikes_of(v))
-    # Zeroing off-lattice entries first keeps object-mode rows in int64.
-    codes = _lattice_codes(net, np.where(off, lo, v), np.where(off, 0, s))
-    codes[off.any(axis=1)] = -1
     return codes
 
 
@@ -407,11 +395,11 @@ def detection_mismatches(net: Network, report: StateGraphReport) -> list[int]:
     bad = []
     for start in range(0, report.state_count, REPLAY_LANES):
         stop = min(start + REPLAY_LANES, report.state_count)
-        v, s = _decode_indices(net, np.arange(start, stop, dtype=np.int64))
         mus = report.transients[start:stop]
         periods = report.periods[start:stop]
         horizon = max(1, int((mus + periods).max()))
-        got_mus, got_periods = detect_cycle(net, NetworkState(v=v, s=s), horizon)
+        starts = np.arange(start, stop, dtype=np.int64)
+        got_mus, got_periods = detect_cycle(net, starts, horizon)
         wrong = (got_periods < 1) | (got_mus != mus) | (got_periods != periods)
         bad.extend((start + np.flatnonzero(wrong)).tolist())
     return bad

@@ -181,8 +181,11 @@ def cell_seeds(
     Topology and thresholds ignore seed_idx, so repeated-run cells share
     one network while the initial state varies. Standalone reruns need
     only the parameter values, never a position inside some grid.
-    `seed_idx` must lie in 0..2^64 - 1, or it would alias another.
+    `master_seed` and `seed_idx` must lie in 0..2^64 - 1, or each would
+    alias another.
     """
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError(f"master_seed must lie in 0..2^64 - 1, got {master_seed}")
     if not 0 <= seed_idx < 1 << 64:
         raise ValueError(f"seed must lie in 0..2^64 - 1, got {seed_idx}")
     dkey = float_key(density)
@@ -359,7 +362,7 @@ def focused_grid(
         base,
         sizes=[n],
         densities=[density],
-        bit_widths=list(bit_widths or base.bit_widths),
+        bit_widths=list(base.bit_widths if bit_widths is None else bit_widths),
         seeds_per_cell=seeds,
     )
     grid.validate()

@@ -15,7 +15,7 @@ from intsnn.dynamics import (
     Attractor,
     StateGraphReport,
     _decode_indices,
-    _encode_rows,
+    _lattice_codes,
     _successor_indices,
     decode_state,
     detect_cycle,
@@ -33,7 +33,6 @@ from intsnn.network import (
     Network,
     NetworkState,
     generate_topology,
-    initial_state,
     sample_thresholds,
 )
 from intsnn.rng import derive_seed
@@ -415,8 +414,8 @@ def one_state_scans(net, v, s, horizon):
     return out
 
 
-def batch_scan(net, v, s, horizon):
-    transients, periods = detect_cycle(net, NetworkState(v=v, s=s), horizon)
+def batch_scan(net, starts, horizon):
+    transients, periods = detect_cycle(net, starts, horizon)
     assert transients.dtype == periods.dtype == np.int64
     return list(zip(transients.tolist(), periods.tolist()))
 
@@ -427,8 +426,8 @@ def assert_batch_matches_lanes(net, horizon):
     total = state_space_size(net)
     idx = np.arange(total, dtype=np.int64)
     v, s = _decode_indices(net, idx)
-    codes = _encode_rows(net, v, s)
-    # the chunk decoder agrees with the scalar reference, and the row
+    codes = _lattice_codes(net, v, s)
+    # the chunk decoder agrees with the scalar reference, and the chunk
     # encoder inverts it and agrees with encode_state
     assert codes.dtype == np.int64 and codes.tolist() == idx.tolist()
     for i in range(total):
@@ -437,7 +436,7 @@ def assert_batch_matches_lanes(net, horizon):
         assert s[i].tolist() == state.s.tolist()
         assert encode_state(net, state) == codes[i]
     lanes = one_state_scans(net, v, s, horizon)
-    assert batch_scan(net, v, s, horizon) == lanes
+    assert batch_scan(net, idx, horizon) == lanes
     return lanes
 
 
@@ -463,101 +462,24 @@ def test_batch_scan_object_mode_networks():
             assert_batch_matches_lanes(net, horizon)
 
 
-def aliasing_starts(net, horizon, per_kind=2):
-    """Off-lattice start rows whose mixed-radix code, taken without the
-    lattice test, is the code of a state on their own trajectory: v one
-    cardinality above or below the domain in the last neuron, and a spike
-    of 2 (with reset) or a flipped spike (without). A scan that encoded
-    start rows unchecked would report a false revisit of tick 0."""
+def test_batch_scan_refuses_bad_starts_and_spaces_beyond_int64():
+    net = mode_network(0, *MODES[0])
     total = state_space_size(net)
-    v, s = _decode_indices(net, np.arange(total, dtype=np.int64))
-    card, lo, n = net.domain.cardinality, net.domain.min_value, net.n
-    reset = net.reset_mode == RESET_SUBTRACT
-    kinds = []
-    for shift in (card, -card):
-        shifted = v.copy()
-        shifted[:, -1] += shift
-        kinds.append((shifted, s if reset else net.spikes_of(shifted)))
-    bad_s = s.copy()
-    if reset:
-        bad_s[:, -1] += 2
-    else:
-        bad_s[:, 0] ^= 1
-    kinds.append((v, bad_s))
-    powers = np.arange(n - 1, -1, -1)
-    rows_v, rows_s = [], []
-    for kv, ks in kinds:
-        alias = (kv - lo) @ card**powers
-        if reset:
-            alias = alias * (1 << n) + ks @ (1 << powers)
-        hits = np.zeros(total, dtype=bool)
-        tv, ts = kv, ks
-        for _ in range(horizon):
-            tv, ts = net.step_arrays(tv, ts)
-            hits |= _encode_rows(net, tv, ts) == alias
-        picked = np.flatnonzero(hits)[:per_kind]
-        rows_v.append(kv[picked])
-        rows_s.append(ks[picked])
-    return np.concatenate(rows_v), np.concatenate(rows_s)
-
-
-@pytest.mark.parametrize("case", range(len(MODES)))
-def test_batch_scan_off_lattice_start_rows(case):
-    # A start row that is no lattice state never recurs; the batch must
-    # still agree with one-state scans, lane by lane.
-    net = mode_network(case, *MODES[case])
-    lo, hi = net.domain.min_value, net.domain.max_value
-    v, s = _decode_indices(net, np.arange(0, state_space_size(net), 37, dtype=np.int64))
-    v, s = v.copy(), s.copy()
-    v[0, 0], v[1, 2], v[2, 1] = hi + 1, lo - 1, hi + 9
-    if net.reset_mode == RESET_SUBTRACT:
-        s[3, 1], s[4, 0], s[5, 2] = 2, -1, 3  # spikes other than 0 or 1
-    else:
-        s[3:6, 0] ^= 1  # spikes inconsistent with v
-    s[0:3] = net.spikes_of(v[0:3])  # off by v alone
-    horizon = int(enumerate_state_graph(net).transients.max()) + 12
-    trap_v, trap_s = aliasing_starts(net, horizon)
-    assert len(trap_v) >= 1
-    v, s = np.concatenate((trap_v, v)), np.concatenate((trap_s, s))
-    off = 6 + len(trap_v)
-    assert (_encode_rows(net, v, s)[:off] == -1).all()
-    assert (_encode_rows(net, v, s)[off:] >= 0).all()
-    lanes = one_state_scans(net, v, s, horizon)
-    assert batch_scan(net, v, s, horizon) == lanes
-    assert all(mu >= 1 for mu, _ in lanes[:off])
-
-
-def test_batch_scan_off_lattice_object_mode():
-    for net in object_mode_networks():
-        v, s = _decode_indices(net, np.arange(state_space_size(net), dtype=np.int64))
-        v[0, 0] = 1 << 70  # beyond int64: must not reach the int64 codes
-        s[0] = net.spikes_of(v[0])
-        assert _encode_rows(net, v, s)[0] == -1
-        lanes = one_state_scans(net, v, s, 40)
-        assert batch_scan(net, v, s, 40) == lanes
-
-
-def test_batch_scan_space_beyond_int64_codes(monkeypatch):
-    # 2^64 states: no int64 code exists, so a batch scans each lane alone
-    net = Network(
+    for bad in (-1, total):
+        message = rf"start index {bad} lies outside 0\.\.{total - 1}"
+        with pytest.raises(ValueError, match=message):
+            detect_cycle(net, np.array([0, bad], dtype=np.int64), 10)
+    # 2^64 states: no int64 code exists
+    big = Network(
         n=8,
         weights=generate_topology(8, 0.8, -2, 2, seed=derive_seed(85, 0)),
         thresholds=sample_thresholds(8, 1, 4, seed=derive_seed(85, 1)),
         leak_k=1,
         domain=IntegerDomain(8),
     )
-    assert state_space_size(net) == 1 << 64
-    starts = [initial_state(net, derive_seed(86, i)) for i in range(6)]
-    v = np.stack([st.v for st in starts])
-    s = np.stack([st.s for st in starts])
-    lanes = one_state_scans(net, v, s, 11)
-
-    def refuse(*args):
-        raise AssertionError("encoded a space beyond int64")
-
-    monkeypatch.setattr(dynamics, "_encode_rows", refuse)
-    assert batch_scan(net, v, s, 11) == lanes
-    assert {p >= 1 for _, p in lanes} == {True, False}
+    assert state_space_size(big) == 1 << 64
+    with pytest.raises(ValueError, match=f"{1 << 64} states.*int64"):
+        detect_cycle(big, np.arange(6, dtype=np.int64), 11)
 
 
 def checkpoint_network():
@@ -590,7 +512,6 @@ def test_batch_scan_around_checkpoints(monkeypatch, revisits, ticks):
     sums = report.transients + report.periods
     picked = np.concatenate([np.flatnonzero(sums == t2)[:5] for t2 in revisits])
     assert len(picked) == 5 * len(revisits)
-    v, s = _decode_indices(net, picked)
     expected = list(
         zip(report.transients[picked].tolist(), report.periods[picked].tolist())
     )
@@ -603,14 +524,14 @@ def test_batch_scan_around_checkpoints(monkeypatch, revisits, ticks):
         return step(*args)
 
     monkeypatch.setattr(net, "step_arrays", counted)
-    assert batch_scan(net, v, s, 100) == expected
+    assert batch_scan(net, picked, 100) == expected
     assert len(stepped) == ticks
     # a horizon between checkpoints is itself searched: a lane revisiting
     # there is detected, one revisiting a tick later is censored
     last = max(revisits)
-    assert batch_scan(net, v, s, last) == expected
+    assert batch_scan(net, picked, last) == expected
     cut = [pair if sum(pair) < last else (-1, -1) for pair in expected]
-    assert batch_scan(net, v, s, last - 1) == cut
+    assert batch_scan(net, picked, last - 1) == cut
 
 
 def test_detection_mismatches_finds_planted_errors():

@@ -262,6 +262,25 @@ def test_cell_seeds_share_topology_across_seed_indices():
     assert len({t0, th0, i0}) == 3
 
 
+@pytest.mark.parametrize(
+    "master_seed, seed_idx, key",
+    [(7, -1, "seed"), (7, 1 << 64, "seed"), (-1, 0, "master_seed"),
+     ((1 << 64) + 5, 0, "master_seed")],
+)
+def test_cell_seeds_refuse_aliasing_seeds(master_seed, seed_idx, key):
+    # seed derivation folds both modulo 2^64, so these would alias
+    got = master_seed if key == "master_seed" else seed_idx
+    message = rf"^{key} must lie in 0\.\.2\^64 - 1, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        cell_seeds(master_seed, 4, 0.5, 3, seed_idx)
+    if key == "master_seed":
+        grid = SweepGrid(master_seed=master_seed, horizon=50)
+        with pytest.raises(ValueError, match=message):
+            build_network(grid, 4, 0.5, 3)
+        with pytest.raises(ValueError, match=message):
+            run_cell(grid, 4, 0.5, 3, 0)
+
+
 def test_build_network_provenance_and_determinism():
     grid = tiny_grid()
     net1 = build_network(grid, 5, 0.5, 4)
@@ -382,6 +401,8 @@ def test_focused_runs_share_one_topology_per_bits():
     assert (grid.sizes, grid.densities, grid.bit_widths) == ([8], [0.5], [3])
     with pytest.raises(ValueError):
         focused_grid(SweepGrid(), [3], n=8, seeds=1)
+    with pytest.raises(ValueError, match="bits must be nonempty"):
+        focused_grid(SweepGrid(), [], n=8, seeds=3)
     net0 = build_network(grid, 8, 0.5, 3)
     net1 = build_network(grid, 8, 0.5, 3)
     assert np.array_equal(net0.weights, net1.weights)
