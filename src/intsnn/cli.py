@@ -30,6 +30,9 @@ from .metrics import (
 from .network import initial_state, network_to_json
 from .svgplot import heatmap_svg, line_chart_svg, raster_svg, scatter_svg
 from .sweep import (
+    FOCUSED_DENSITY,
+    FOCUSED_SEEDS,
+    FOCUSED_SIZE,
     CellError,
     build_network,
     cell_seeds,
@@ -214,10 +217,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_focused(args) -> int:
-    overrides = _grid_overrides(args)
-    overrides.pop("bits", None)  # raw flag string; parsed into the grid below
-    config = load_config(args.config, overrides)
-    bit_widths = parse_int_list(args.bits) if args.bits else None
+    config = load_config(args.config, _grid_overrides(args))
+    bit_widths = parse_int_list(args.bit_widths) if args.bit_widths else None
     grid = focused_grid(config.grid, bit_widths, args.n, args.density, args.seeds)
     workers = _workers(config)
     out = _ensure_dir(args.out or config.output_dir)
@@ -331,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     foc.add_argument("--config", default=None)
     foc.add_argument("--out", default=None)
     foc.add_argument("--workers", type=int, default=None)
-    foc.add_argument("--n", type=int, default=64)
-    foc.add_argument("--density", type=float, default=0.5)
-    foc.add_argument("--bits", default=None, help="bit widths, e.g. 1..16 or 4,8,16")
-    foc.add_argument("--seeds", type=int, default=5)
+    foc.add_argument("--n", type=int, default=FOCUSED_SIZE)
+    foc.add_argument("--density", type=float, default=FOCUSED_DENSITY)
+    foc.add_argument("--bits", dest="bit_widths", default=None,
+                     help="bit widths, e.g. 1..16 or 4,8,16")
+    foc.add_argument("--seeds", type=int, default=FOCUSED_SEEDS)
     foc.add_argument("--figures", action=argparse.BooleanOptionalAction,
                      default=None)
     _add_model_flags(foc)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 
@@ -97,7 +96,8 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     first; neither changes the rank. What is left is eliminated modulo
     a prime, and a kernel certificate proves that rank exact; when the
     certificate fails, fraction-free (Bareiss) elimination gives the
-    rank instead. There is no floating-point tolerance anywhere.
+    rank instead. There is no floating-point tolerance anywhere, and a
+    raster holding anything but integers in int64 range is refused.
     `window` defaults to min(500, T // 2).
     """
     r = np.asarray(raster)
@@ -113,7 +113,16 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     tail = r[horizon - window :]
     # Rows are deduplicated in their own dtype (uint8 for sweep rasters)
     # and cast to int64 after; a safe cast keeps distinct rows distinct.
+    # Any other dtype is cast only when it holds integers in int64 range.
     if not np.can_cast(tail.dtype, np.int64):
+        values = tail.ravel().tolist()
+        if not all(isinstance(x, (int, np.integer)) for x in values) or not (
+            -(2**63) <= min(values) <= max(values) < 2**63
+        ):
+            raise ValueError(
+                f"raster of dtype {r.dtype} holds a value that is not an "
+                "integer in int64 range"
+            )
         tail = tail.astype(np.int64)
     seen = set()
     kept = []
@@ -131,9 +140,6 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
 
 # A prime below 2^31, so the product of two residues fits in int64.
 _P = 2**31 - 1
-# Rationals whose numerator and denominator are at most this bound in
-# absolute value have distinct images mod _P, since 2 * bound^2 < _P.
-_RECON_BOUND = 32767
 # Rows per block in the elimination and the kernel check. Small blocks
 # keep the temporaries, and the heap the allocator retains, small.
 _BLOCK = 64
@@ -145,11 +151,10 @@ def _modular_rank(mat: np.ndarray) -> int:
     Elimination mod _P gives r = rank mod _P, and the rank over Q is at
     least r, since a minor that is nonzero mod _P is nonzero. So r is
     exact when it equals min(rows, cols). Otherwise each free column's
-    kernel vector is rebuilt from the reduced echelon form by rational
-    reconstruction (von zur Gathen & Gerhard, Modern Computer Algebra,
-    5.10) and checked exactly against `mat`; cols - r independent
-    kernel vectors prove the rank over Q is at most r. When a
-    reconstruction or a check fails, Bareiss elimination decides.
+    kernel vector is read from the reduced echelon form as integers and
+    checked exactly against `mat`; cols - r independent kernel vectors
+    prove the rank over Q is at most r. When the check fails, Bareiss
+    elimination decides.
     """
     rows, cols = mat.shape
     work = mat.astype(np.int64)
@@ -178,8 +183,7 @@ def _modular_rank(mat: np.ndarray) -> int:
         col = pivots[i]
         above = np.flatnonzero(echelon[:i, col])
         _eliminate(echelon, above, col, echelon[i, col:])
-    basis = _kernel_basis(echelon, pivots)
-    if basis is None or not _annihilates(mat, basis):
+    if not _annihilates(mat, _kernel_basis(echelon, pivots)):
         return _fraction_free_rank(mat.tolist())
     return rank
 
@@ -197,16 +201,15 @@ def _eliminate(work: np.ndarray, targets, col: int, prow: np.ndarray) -> None:
         work[part, col:] = block
 
 
-def _kernel_basis(echelon: np.ndarray, pivots: list[int]) -> np.ndarray | None:
-    """Integer matrix whose columns are kernel vectors of the matrix
-    with reduced echelon form `echelon` mod _P, one per free column;
-    None when an entry has no rational preimage within _RECON_BOUND.
+def _kernel_basis(echelon: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """int64 matrix whose columns are kernel vectors mod _P of the
+    matrix with reduced echelon form `echelon`, one per free column.
 
-    The vector of free column f is 1 at f and -echelon[i, f] at
-    pivots[i], scaled by the common denominator. Its entry at f is
-    positive and its entries at the other free columns are zero, so
-    the vectors are independent. The matrix is int64 when every entry
-    is an integer already, and holds Python ints otherwise.
+    The vector of free column f is 1 at f and, at pivots[i], the residue
+    of -echelon[i, f] nearest 0. It is 1 at f and 0 at the other free
+    columns, so the vectors are independent whatever their other
+    entries; whether they are kernel vectors over Q is for the exact
+    check to decide.
     """
     cols = echelon.shape[1]
     is_free = np.ones(cols, dtype=bool)
@@ -216,46 +219,20 @@ def _kernel_basis(echelon: np.ndarray, pivots: list[int]) -> np.ndarray | None:
     entries[entries > _P // 2] -= _P
     basis = np.zeros((cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
-    if np.abs(entries).max() <= _RECON_BOUND:
-        basis[pivots] = entries
-        return basis
-    basis = basis.astype(object)
-    for j, column in enumerate(entries.T.tolist()):
-        fracs = [
-            (x, 1) if abs(x) <= _RECON_BOUND else _rational(x % _P)
-            for x in column
-        ]
-        if None in fracs:
-            return None
-        scale = math.lcm(*(den for _, den in fracs))
-        basis[free[j], j] = scale
-        basis[pivots, j] = [num * (scale // den) for num, den in fracs]
+    basis[pivots] = entries
     return basis
 
 
-def _rational(a: int) -> tuple[int, int] | None:
-    """(num, den) with num = a * den mod _P, |num| <= _RECON_BOUND and
-    0 < den <= _RECON_BOUND, by the extended Euclidean algorithm; None
-    when there is none."""
-    r0, r1, t0, t1 = _P, a, 0, 1
-    while r1 > _RECON_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > _RECON_BOUND:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
 def _annihilates(mat: np.ndarray, basis: np.ndarray) -> bool:
-    """Whether mat @ basis == 0 exactly: in int64 when a bound shows no
-    partial sum can overflow, else in Python ints."""
+    """Whether mat @ basis == 0 exactly, checked in int64; False when
+    the bound below does not show that no partial sum can overflow."""
     largest = max(int(mat.max()), -int(mat.min()))
+    # Summed in Python ints: an int64 sum could wrap below the bound.
     norm = int(np.abs(basis).sum(axis=0, dtype=object).max())
-    dtype = np.int64 if largest * norm < 2**63 else object
-    basis = basis.astype(dtype)
+    if largest * norm >= 2**63:
+        return False
     return not any(
-        (mat[start : start + _BLOCK].astype(dtype) @ basis).any()
+        (mat[start : start + _BLOCK].astype(np.int64) @ basis).any()
         for start in range(0, len(mat), _BLOCK)
     )
 

@@ -103,14 +103,14 @@ class Network:
     seed_provenance: dict | None = None
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights)
+        weights = _integer_array("weights", self.weights)
         if weights.shape != (self.n, self.n):
             raise ValueError(
                 f"weights shape {weights.shape} does not match n={self.n}"
             )
         if any(int(weights[i, i]) != 0 for i in range(self.n)):
             raise ValueError("self-connections are not allowed")
-        thresholds = np.asarray(self.thresholds)
+        thresholds = _integer_array("thresholds", self.thresholds)
         if thresholds.shape != (self.n,):
             raise ValueError(
                 f"thresholds shape {thresholds.shape} does not match n={self.n}"
@@ -211,6 +211,18 @@ class Network:
         if self._object_mode:
             return (tuple(v.tolist()), s.tobytes())
         return v.tobytes() + s.tobytes()
+
+
+def _integer_array(name: str, values) -> np.ndarray:
+    """`values` as an array, refused unless every entry is an integer:
+    the cast to the stepping dtype would truncate a float silently."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind not in "iuO" or (
+        kind == "O" and not all(isinstance(x, int) for x in arr.flat)
+    ):
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr
 
 
 def step(state: NetworkState, net: Network) -> NetworkState:

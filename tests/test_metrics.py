@@ -163,19 +163,21 @@ def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
         assert pseudo_rank(mat, window=rows) == fraction_rank(mat)
         shortcut += rank_paths == before
     # Both the full-rank shortcut and the kernel certificate decided
-    # many cases. A dense near-square matrix can have kernel entries
-    # beyond the reconstruction bound; it falls back by design.
+    # many cases. A dense near-square matrix can have a kernel vector
+    # with rational entries, which the integer check refuses; it falls
+    # back by design.
     assert shortcut >= 10
     assert rank_paths["certified"] >= 20
-    assert rank_paths["fallback"] <= 1
+    assert rank_paths["fallback"] <= 3
 
 
 def test_pseudo_rank_falls_back_when_certificate_fails(rank_paths, monkeypatch):
-    # The kernel vector (-40000, 1) has no preimage within the
-    # reconstruction bound, so the certificate cannot be built.
+    # The kernel vector (-40000, 1) is read as an integer vector and
+    # passes the exact check.
     mat = np.array([[1, 40000], [2, 80000], [3, 120000]])
     assert pseudo_rank(mat, window=3) == 1
-    assert rank_paths["fallback"] == 1
+    assert rank_paths["certified"] == 1
+    assert rank_paths["fallback"] == 0
 
     # A wrong kernel vector must fail the exact check, not pass as a
     # rank: (1, 1, 1) is no kernel vector of this rank-2 matrix.
@@ -184,16 +186,18 @@ def test_pseudo_rank_falls_back_when_certificate_fails(rank_paths, monkeypatch):
         metrics, "_kernel_basis", lambda echelon, pivots: np.ones((3, 1), np.int64)
     )
     assert pseudo_rank(mat, window=3) == 2 == fraction_rank(mat)
-    assert rank_paths["fallback"] == 2
+    assert rank_paths["fallback"] == 1
 
     # Nor may a product that is nonzero only beyond int64: here
-    # mat @ (2^62, 2^62) = (2^65, 2^66), which wraps to 0 in int64.
+    # mat @ (2^62, 2^62) = (2^65, 2^66), which wraps to 0 in int64. The
+    # basis norm 2^63 itself wraps in an int64 sum.
     mat = np.array([[4, 4], [8, 8]])
     monkeypatch.setattr(
         metrics, "_kernel_basis", lambda echelon, pivots: np.full((2, 1), 1 << 62)
     )
     assert pseudo_rank(mat, window=2) == 1
-    assert rank_paths["fallback"] == 3
+    assert rank_paths["fallback"] == 2
+    assert rank_paths["certified"] == 1
 
 
 def test_pseudo_rank_negative_and_large_entries(rank_paths):
@@ -201,19 +205,36 @@ def test_pseudo_rank_negative_and_large_entries(rank_paths):
     big = 1 << 60
     base = rng.integers(-big, big, size=(6, 2))
     # Column 2 = column 0 + 2 * column 1: the kernel (1, 2, -1) is
-    # small, but entries times its norm pass 2^63, so the check runs in
-    # Python ints.
+    # small, but entries times its norm pass 2^63, so int64 cannot
+    # check it and Bareiss decides.
     mat = np.column_stack([base, base[:, 0] + 2 * base[:, 1]])
     assert int(np.abs(mat).max()) * 4 >= 2**63
     assert pseudo_rank(mat, window=6) == 2 == fraction_rank(mat)
-    # Rational kernel (1/2, 1) over negative entries: reconstruction
-    # with a denominator, then the exact check.
+    # Rational kernel (1/2, 1) over negative entries: its integer
+    # read-off is no kernel vector over Q, so Bareiss decides.
     half = np.array([[2, -1], [-4, 2], [6, -3], [-8, 4]])
     assert pseudo_rank(half, window=4) == 1 == fraction_rank(half)
     rand = rng.integers(-(1 << 40), 1 << 40, size=(5, 4))
     assert pseudo_rank(rand, window=5) == fraction_rank(rand)
-    assert rank_paths["certified"] == 2
-    assert rank_paths["fallback"] == 0
+    assert rank_paths["certified"] == 0
+    assert rank_paths["fallback"] == 2
+
+
+def test_pseudo_rank_refuses_rasters_it_cannot_hold_exactly():
+    # 0.5 would truncate to 0, though the rank is 1.
+    with pytest.raises(ValueError, match="float64"):
+        pseudo_rank(np.array([[0.5, 0.0]]), window=1)
+    # The determinant is -2^64, so the rank is 2; an int64 cast wraps
+    # the entries and reads rank 1.
+    wide = np.array([[2**64 - 2, 2**64 - 1], [2, 1]], dtype=np.uint64)
+    with pytest.raises(ValueError, match="uint64"):
+        pseudo_rank(wide, window=2)
+    with pytest.raises(ValueError, match="object"):
+        pseudo_rank(np.array([[2**70, 1]], dtype=object), window=1)
+    # Integer values in int64 range pass in either dtype.
+    fits = np.array([[2**63 - 1, 1], [2, 1]], dtype=np.uint64)
+    assert pseudo_rank(fits, window=2) == 2 == fraction_rank(fits)
+    assert pseudo_rank(np.array([[3, 1], [6, 2]], dtype=object), window=2) == 1
 
 
 def test_delay_embed():

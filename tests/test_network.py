@@ -306,6 +306,31 @@ def test_wrap_step_matches_scalar_clamp_far_outside_domain(bits, signedness, res
         assert [[int(x) for x in row] for row in s] == [w[1] for w in want]
 
 
+def test_network_refuses_non_integer_weights_and_thresholds():
+    ok = dict(
+        n=2,
+        weights=[[0, 1], [1, 0]],
+        thresholds=[2, 2],
+        leak_k=1,
+        domain=IntegerDomain(4),
+    )
+    # An int64 cast would step with weights [[0, 0], [1, 0]] and
+    # threshold 1, so v = 1 would fire below the threshold 1.5.
+    with pytest.raises(ValueError, match="weights"):
+        Network(**{**ok, "weights": [[0, 0.5], [1.5, 0]]})
+    with pytest.raises(ValueError, match="thresholds"):
+        Network(**{**ok, "thresholds": [1.5, 2]})
+    with pytest.raises(ValueError, match="thresholds"):
+        Network(**{**ok, "thresholds": np.array([2, 2.5], dtype=object)})
+    with pytest.raises(ValueError, match="weights"):
+        Network(**{**ok, "weights": np.array([[False, True], [True, False]])})
+    # Object-mode thresholds hold Python ints beyond int64 and pass.
+    wide = sample_thresholds(2, 1, 2**64, seed=3)
+    assert wide.dtype == object
+    net = Network(**{**ok, "thresholds": wide, "domain": IntegerDomain(64)})
+    assert net.state_dtype is object
+
+
 def test_object_mode_only_when_int64_could_overflow():
     small = Network(
         n=2,

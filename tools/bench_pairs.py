@@ -1,0 +1,193 @@
+"""Alternating parent/change benchmark pairs, summarised in one JSON file.
+
+    python3 tools/bench_pairs.py --parent REV --change REV --label NAME \\
+        grid=7919,1,2,3,4 focused=7919,1,2,3,4 grid_pool=7919,1,2 oracle=7919,1,2
+
+Each revision is exported with `git archive` into its own temporary
+directory (under $TMPDIR), so uncommitted files never leak into a run;
+for uncommitted work pass the commit that `git stash create` prints.
+Every seed of a workload is one pair: the benchmark command of
+BENCHMARK.json runs once in each export, the parent first in even pairs
+and the change first in odd ones. Workloads run one after another.
+
+The result goes to BENCH_<label>.json at the root of this checkout. It
+holds every run (workload, seed, pair, side, which side ran first, the
+unit count from perfbench's `info` line, `correct` and every metric)
+and, per workload and metric, both medians and quartiles, the
+change/parent median ratio and the pairs the change won. Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The tree of `rev` written into `dest`."""
+    archive = subprocess.Popen(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE
+    )
+    with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+        tar.extractall(dest, filter="data")
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+
+
+def run_once(tree: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    """One benchmark run in `tree`: its correctness, units and metrics."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    info = next((json.loads(line[5:]) for line in lines
+                 if line.startswith("info ")), {})
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "units": None, "metrics": {},
+                "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
+    return {
+        "correct": bool(result["correct"]) and proc.returncode == 0,
+        "units": info.get("units"),
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+        "environment": info.get("environment"),
+    }
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: medians, quartiles, ratio and wins."""
+    summary: dict[str, dict] = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        pairs = sorted({r["pair"] for r in mine})
+        by_pair = {(r["pair"], r["side"]): r for r in mine}
+        whole = [p for p in pairs if all((p, s) in by_pair for s in SIDES)]
+        entry = {
+            "pairs": len(whole),
+            "seeds": [by_pair[p, "parent"]["seed"] for p in whole],
+            "all_correct": all(r["correct"] for r in mine),
+            "units_parent": [by_pair[p, "parent"]["units"] for p in whole],
+            "units_change": [by_pair[p, "change"]["units"] for p in whole],
+        }
+        names = dict.fromkeys(k for r in mine for k in r["metrics"])
+        for name in names:
+            values = {
+                s: [by_pair[p, s]["metrics"].get(name) for p in whole]
+                for s in SIDES
+            }
+            if not whole or any(None in v for v in values.values()):
+                continue
+            pq1, pmed, pq3 = quartiles(values["parent"])
+            cq1, cmed, cq3 = quartiles(values["change"])
+            direction = better.get(name)
+            wins = None
+            if direction is not None:
+                sign = 1 if direction == "higher" else -1
+                wins = sum(sign * (c - p) > 0 for p, c in
+                           zip(values["parent"], values["change"]))
+            entry[name] = {
+                "better": direction,
+                "parent_median": pmed,
+                "change_median": cmed,
+                "median_ratio": cmed / pmed if pmed else None,
+                "parent_q1_q3": [pq1, pq3],
+                "change_q1_q3": [cq1, cq3],
+                "parent_iqr_share_of_median": (pq3 - pq1) / pmed if pmed else None,
+                "change_wins": wins,
+                "out_of": len(whole),
+            }
+        summary[workload] = entry
+    return summary
+
+
+def parse_plan(specs: list[str]) -> list[tuple[str, list[int]]]:
+    plan = []
+    for spec in specs:
+        workload, sep, seeds = spec.partition("=")
+        if not sep or not seeds:
+            raise SystemExit(f"bad plan {spec!r}: want WORKLOAD=SEED,SEED,...")
+        plan.append((workload, [int(s) for s in seeds.split(",")]))
+    return plan
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="git revision of the parent")
+    p.add_argument("--change", required=True, help="git revision of the change")
+    p.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    p.add_argument("plan", nargs="+", help="WORKLOAD=SEED,SEED,... one pair per seed")
+    args = p.parse_args(argv)
+    plan = parse_plan(args.plan)
+
+    revs = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", args.change)}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    command, seconds = bench["command"], bench["run_seconds"]
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench.get("per_layer", [])}
+
+    runs: list[dict] = []
+    environment = None
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {}
+        for side in SIDES:
+            trees[side] = Path(tmp) / side
+            export(revs[side], trees[side])
+        for workload, seeds in plan:
+            for pair, seed in enumerate(seeds):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_once(trees[side], command, workload, seed, seconds)
+                    environment = run.pop("environment", None) or environment
+                    runs.append({"workload": workload, "seed": seed,
+                                 "pair": pair, "side": side,
+                                 "first": order[0], **run})
+                    shown = {k: round(v, 4) for k, v in run["metrics"].items()}
+                    print(f"{workload} seed {seed} {side}: correct="
+                          f"{run['correct']} units={run['units']} {shown}",
+                          file=sys.stderr, flush=True)
+
+    doc = {
+        "label": args.label,
+        "command": " ".join(command) + f" --workload W --seed S --seconds {seconds}",
+        "parent": revs["parent"],
+        "change": revs["change"],
+        "order": "per workload, one pair per seed; the parent runs first "
+                 "in even pairs, the change in odd ones",
+        "environment": environment,
+        "summary": summarize(runs, better),
+        "runs": runs,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
