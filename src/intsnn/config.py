@@ -32,26 +32,23 @@ def parse_bool(text: str) -> bool:
 
 
 def parse_int_list(text: str) -> list[int]:
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            out.extend(_int_range(part))
-        elif part:
-            out.append(parse_int(part))
-    if not out:
-        raise ValueError(f"empty list: {text!r}")
-    return out
+    return _parse_list(text, parse_int, _int_range)
 
 
 def parse_float_list(text: str) -> list[float]:
-    out: list[float] = []
+    return _parse_list(text, parse_float, _float_range)
+
+
+def _parse_list(text: str, parse, expand) -> list:
+    """Comma-separated values; a part holding `..` is a range that
+    `expand` turns into values, any other nonblank part goes to `parse`."""
+    out = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            out.extend(_float_range(part))
+            out.extend(expand(part))
         elif part:
-            out.append(parse_float(part))
+            out.append(parse(part))
     if not out:
         raise ValueError(f"empty list: {text!r}")
     return out

@@ -76,7 +76,7 @@ def simulate(net: Network, init: NetworkState, horizon: int) -> Trajectory:
 
 def first_revisit(
     net: Network, init: NetworkState, horizon: int
-) -> tuple[list[np.ndarray], CycleReport]:
+) -> tuple[np.ndarray, CycleReport]:
     """First-visit recurrence scan over the full (v, s) state of one
     trajectory, v and s of shape (n,).
 
@@ -85,8 +85,9 @@ def first_revisit(
     deterministic map is always the cycle entry state, so the transient
     is exact. A trajectory with no repeat within `horizon` steps is
     censored. Keeps a map from visited state to first-visit time and
-    returns the spike vectors of steps 1..t2, or of all `horizon` steps
-    when censored, as uint8, and the CycleReport.
+    fills one (horizon, n) uint8 raster, row t - 1 holding the spikes of
+    step t; returns its rows of steps 1..t2, or all `horizon` rows when
+    censored, and the CycleReport.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -95,17 +96,16 @@ def first_revisit(
     # Spikes are 0 or 1, so uint8 encodes them exactly; keys and rows
     # then hold one byte per neuron for them, not eight.
     seen = {net.state_key(v, s.astype(np.uint8)): 0}
-    rows = []
+    raster = np.empty((horizon, net.n), dtype=np.uint8)
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
-        spikes = s.astype(np.uint8)
-        rows.append(spikes)
-        key = net.state_key(v, spikes)
+        raster[t - 1] = s
+        key = net.state_key(v, raster[t - 1])
         first = seen.get(key)
         if first is not None:
-            return rows, CycleReport(DETECTED, transient=first, period=t - first)
+            return raster[:t], CycleReport(DETECTED, transient=first, period=t - first)
         seen[key] = t
-    return rows, CycleReport(CENSORED)
+    return raster, CycleReport(CENSORED)
 
 
 def _batch_revisits(
@@ -426,13 +426,9 @@ def oracle_json(net: Network, report: StateGraphReport) -> dict:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Long-format export: one row per (t, neuron) with columns t,
     neuron_id, v, s, covering t = 0..horizon."""
-    n = traj.states.shape[1]
     lines = ["t,neuron_id,v,s"]
-    for i in range(n):
-        lines.append(f"0,{i},{int(traj.states[0, i])},{int(traj.s0[i])}")
-    for t in range(1, traj.horizon + 1):
-        row_v = traj.states[t]
-        row_s = traj.raster[t - 1]
-        for i in range(n):
-            lines.append(f"{t},{i},{int(row_v[i])},{int(row_s[i])}")
+    spikes = np.vstack([traj.s0, traj.raster]).tolist()
+    for t, (row_v, row_s) in enumerate(zip(traj.states.tolist(), spikes)):
+        for i, (v, s) in enumerate(zip(row_v, row_s)):
+            lines.append(f"{t},{i},{v},{s}")
     write_text(path, "\n".join(lines) + "\n")

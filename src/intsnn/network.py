@@ -108,14 +108,14 @@ class Network:
             raise ValueError(
                 f"weights shape {weights.shape} does not match n={self.n}"
             )
-        if any(int(weights[i, i]) != 0 for i in range(self.n)):
+        if np.diagonal(weights).any():
             raise ValueError("self-connections are not allowed")
         thresholds = _integer_array("thresholds", self.thresholds)
         if thresholds.shape != (self.n,):
             raise ValueError(
                 f"thresholds shape {thresholds.shape} does not match n={self.n}"
             )
-        if any(int(t) < 1 for t in thresholds):
+        if (thresholds < 1).any():
             raise ValueError("thresholds must all be >= 1")
         if self.leak_k < 1:
             raise ValueError(f"leak_k must be >= 1, got {self.leak_k}")
@@ -135,17 +135,15 @@ class Network:
         """
         d = self.domain
         w = self.weights
-        wmin = int(w.min())
-        wmax = int(w.max())
-        if w.dtype == np.int64 and -(1 << 32) < wmin and wmax < (1 << 32):
-            pos_hi = int(w.clip(min=0).sum(axis=1).max())
-            neg_lo = int(w.clip(max=0).sum(axis=1).min())
-            abs_hi = int(np.abs(w).sum(axis=1).max())
-        else:
-            rows = [[int(x) for x in row] for row in w]
-            pos_hi = max(sum(x for x in row if x > 0) for row in rows)
-            neg_lo = min(sum(x for x in row if x < 0) for row in rows)
-            abs_hi = max(sum(abs(x) for x in row) for row in rows)
+        # Row sums of int64 weights within +-2^32 cannot overflow; any
+        # other weights are summed as Python ints.
+        if not (
+            w.dtype == np.int64 and -(1 << 32) < w.min() and w.max() < (1 << 32)
+        ):
+            w = w.astype(object)
+        pos_hi = int(w.clip(min=0).sum(axis=1).max())
+        neg_lo = int(w.clip(max=0).sum(axis=1).min())
+        abs_hi = int(np.abs(w).sum(axis=1).max())
 
         leak_lo = leak_shift(d.min_value, self.leak_k)
         leak_hi = leak_shift(d.max_value, self.leak_k)
@@ -169,7 +167,9 @@ class Network:
         self._object_mode = not int64_ok
         # Stored transposed once: the kernel's s.dot(W^T) serves one
         # state and a batch alike without a transposed view per call.
-        self._wt_exec = np.ascontiguousarray(w.T, dtype=self.state_dtype)
+        self._wt_exec = np.ascontiguousarray(
+            self.weights.T, dtype=self.state_dtype
+        )
         self._th_exec = np.asarray(self.thresholds, dtype=self.state_dtype)
         self._lo = d.min_value
         self._hi = d.max_value

@@ -230,33 +230,22 @@ def _measure_run(
 ) -> tuple[float, float, int, CycleReport]:
     """Full-horizon metrics without retaining membrane history.
 
-    Stepping stops at the first exact state revisit; from there the
-    trajectory is periodic, so spike totals, the active set, and the
-    tail window are reconstructed exactly from the recorded prefix.
+    Stepping stops at the first exact state revisit t2 = mu + period;
+    from there the trajectory is periodic, so a step row r >= mu of
+    0..horizon-1 repeats recorded row mu + (r - mu) % period, which is r
+    itself before t2. One index array maps every step row to its
+    recorded row, and the spike total and the tail window are read
+    through it; the active set is that of the recorded rows.
     """
-    rows, cycle = first_revisit(net, init, horizon)
-    prefix = np.array(rows)
-    del rows  # freed before the rank runs, which lowers the peak heap
-    t2 = len(prefix)
-    counts = prefix.sum(axis=1).tolist()
-    total = sum(counts)
+    raster, cycle = first_revisit(net, init, horizon)
+    rows = np.arange(horizon)
     if cycle.status == DETECTED:
-        # Step t2 + j repeats step mu + j, so the steps after t2 cycle
-        # through the counts of steps mu + 1 .. t2.
-        cycle_counts = counts[cycle.transient :]
-        laps, rest = divmod(horizon - t2, cycle.period)
-        total += laps * sum(cycle_counts) + sum(cycle_counts[:rest])
-
+        mu = cycle.transient
+        rows[mu:] = mu + (rows[mu:] - mu) % cycle.period
+    total = int(raster.sum(axis=1, dtype=np.int64)[rows].sum())
     rate = total / (horizon * net.n)
-    active = float(np.count_nonzero(prefix.any(axis=0))) / net.n
-    if window <= 0:
-        rank = 0
-    else:
-        steps = np.arange(horizon - window + 1, horizon + 1)
-        if cycle.status == DETECTED:
-            mu, late = cycle.transient, steps > t2
-            steps[late] = mu + 1 + (steps[late] - mu - 1) % cycle.period
-        rank = pseudo_rank(prefix[steps - 1], window=window)
+    active = float(np.count_nonzero(raster.any(axis=0))) / net.n
+    rank = pseudo_rank(raster[rows[-window:]], window=window) if window > 0 else 0
     return rate, active, rank, cycle
 
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from intsnn.arith import IntegerDomain
-from intsnn.dynamics import CENSORED, DETECTED, CycleReport, detect_cycle, simulate
+from intsnn.dynamics import (
+    CENSORED,
+    DETECTED,
+    CycleReport,
+    decode_state,
+    detect_cycle,
+    enumerate_state_graph,
+    simulate,
+)
 from intsnn.metrics import (
     active_fraction,
     default_window,
@@ -384,6 +392,44 @@ def test_measure_run_from_cycle_entry():
         assert got[2] == pseudo_rank(traj.raster, window=4)
         assert got[3] == detect_cycle(pair, start, 9)
         assert (got[3].transient, got[3].period) == expected
+
+    # the boundaries of the step->row map, from the enumerated start with
+    # the longest transient: mu = 13, period 4, first revisit t2 = 17;
+    # row 12 is the cycle entry, row 11 the last transient row
+    net = Network(
+        n=5,
+        weights=np.array(
+            [
+                [0, 3, -1, -2, 1],
+                [-2, 0, 2, 2, -2],
+                [2, 3, 0, -3, -3],
+                [3, 0, -3, 0, 3],
+                [-2, -2, 3, -1, 0],
+            ]
+        ),
+        thresholds=np.array([1, 2, 1, 2, 1]),
+        leak_k=1,
+        domain=IntegerDomain(2),
+    )
+    report = enumerate_state_graph(net)
+    index = int(report.transients.argmax())
+    start = decode_state(net, index)
+    assert (report.transients[index], report.periods[index]) == (13, 4)
+    cases = (
+        (17, 8, DETECTED, 5),  # the first revisit falls on the horizon
+        (16, 8, CENSORED, 5),  # it falls one tick past: censored
+        (20, 8, DETECTED, 4),  # the window starts on the cycle entry
+        (20, 9, DETECTED, 5),  # the window reaches a transient row
+        (51, 40, DETECTED, 5),  # ... across several laps of the cycle
+    )
+    for horizon, window, status, rank in cases:
+        got = _measure_run(net, start, horizon=horizon, window=window)
+        traj = simulate(net, start, horizon)
+        assert got[0] == firing_rate(traj.raster)
+        assert got[1] == active_fraction(traj.raster)
+        assert got[2] == pseudo_rank(traj.raster, window=window) == rank
+        assert got[3] == detect_cycle(net, start, horizon)
+        assert got[3].status == status
 
 
 def test_focused_runs_share_one_topology_per_bits():

@@ -14,8 +14,13 @@ The result goes to BENCH_<label>.json at the root of this checkout. It
 holds every run (workload, seed, pair, side, which side ran first, the
 unit count from perfbench's `info` line, `correct` and every metric)
 and, per workload and metric, both medians and quartiles, the
-change/parent median ratio and the pairs the change won. Only the
-standard library is used.
+change/parent median ratio and the pairs the change won. Each
+end-to-end metric also gets a verdict from its `bound` in BENCHMARK.json:
+"worse" when the change median is worse than the parent median by more
+than the bound, "unresolved" when the parent's interquartile range is a
+larger share of its median than the bound and not every change run beats
+every parent run, and "holds" otherwise. Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -79,8 +84,25 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: medians, quartiles, ratio and wins."""
+def verdict(parent: list[float], change: list[float], direction: str,
+            bound: float) -> str:
+    """"worse", "unresolved" or "holds" for one end-to-end metric whose
+    runs may not get worse than the parent's median by more than `bound`,
+    a share of that median."""
+    sign = 1 if direction == "higher" else -1
+    pq1, pmed, pq3 = quartiles(parent)
+    if sign * (statistics.median(change) - pmed) < -bound * abs(pmed):
+        return "worse"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if pq3 - pq1 > bound * abs(pmed) and not beats_all:
+        return "unresolved"
+    return "holds"
+
+
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> dict:
+    """Per workload and metric: medians, quartiles, ratio and wins, and a
+    verdict for each metric with a bound."""
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -121,6 +143,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change_wins": wins,
                 "out_of": len(whole),
             }
+            if name in bounds:
+                entry[name]["bound"] = bounds[name]
+                entry[name]["verdict"] = verdict(
+                    values["parent"], values["change"], direction, bounds[name]
+                )
         summary[workload] = entry
     return summary
 
@@ -150,6 +177,7 @@ def main(argv=None) -> int:
     command, seconds = bench["command"], bench["run_seconds"]
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     runs: list[dict] = []
     environment = None
@@ -180,7 +208,7 @@ def main(argv=None) -> int:
         "order": "per workload, one pair per seed; the parent runs first "
                  "in even pairs, the change in odd ones",
         "environment": environment,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
