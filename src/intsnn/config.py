@@ -127,8 +127,9 @@ _SCHEMA = {
 
 
 def parse_config_text(text: str) -> dict[str, object]:
-    """Typed values keyed by schema name; rejects unknown keys."""
+    """Typed values keyed by schema name; rejects unknown and repeated keys."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -140,6 +141,9 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ValueError(f"line {lineno}: expected key=value, got {raw_line!r}")
         if key not in _SCHEMA:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: {key} given again, first on line {first}")
         parser, _ = _SCHEMA[key]
         try:
             values[key] = parser(raw_value)

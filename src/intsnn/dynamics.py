@@ -84,10 +84,10 @@ def first_revisit(
     reports transient t1 and period t2 - t1. The first repeat of a
     deterministic map is always the cycle entry state, so the transient
     is exact. A trajectory with no repeat within `horizon` steps is
-    censored. Keeps a map from visited state to first-visit time and
-    fills one (horizon, n) uint8 raster, row t - 1 holding the spikes of
-    step t; returns its rows of steps 1..t2, or all `horizon` rows when
-    censored, and the CycleReport.
+    censored. Keeps a map from visited state to first-visit time and the
+    uint8 spike rows it steps, so time and memory follow t2, not the
+    horizon; returns those rows stacked, steps 1..t2 (all `horizon` when
+    censored), and the CycleReport.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -96,16 +96,14 @@ def first_revisit(
     # Spikes are 0 or 1, so uint8 encodes them exactly; keys and rows
     # then hold one byte per neuron for them, not eight.
     seen = {net.state_key(v, s.astype(np.uint8)): 0}
-    raster = np.empty((horizon, net.n), dtype=np.uint8)
+    rows = []
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
-        raster[t - 1] = s
-        key = net.state_key(v, raster[t - 1])
-        first = seen.get(key)
-        if first is not None:
-            return raster[:t], CycleReport(DETECTED, transient=first, period=t - first)
-        seen[key] = t
-    return raster, CycleReport(CENSORED)
+        rows.append(s.astype(np.uint8))
+        first = seen.setdefault(net.state_key(v, rows[-1]), t)
+        if first != t:
+            return np.stack(rows), CycleReport(DETECTED, first, t - first)
+    return np.stack(rows), CycleReport(CENSORED)
 
 
 def _batch_revisits(

@@ -92,13 +92,13 @@ def active_fraction(raster: np.ndarray) -> float:
 def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     """Exact rank over the rationals of the last `window` raster rows.
 
-    Duplicate and all-zero rows and all-zero columns are discarded
-    first; neither changes the rank. What is left is eliminated modulo
-    a prime, and a kernel certificate proves that rank exact; when the
-    certificate fails, fraction-free (Bareiss) elimination gives the
-    rank instead. There is no floating-point tolerance anywhere, and a
-    raster holding anything but integers in int64 range is refused.
-    `window` defaults to min(500, T // 2).
+    Duplicate rows (one pass over the window's bytes), the zero row and
+    all-zero columns are discarded first; none changes the rank. What
+    is left is eliminated modulo a prime, and a kernel certificate
+    proves that rank exact; when it fails, fraction-free (Bareiss)
+    elimination gives the rank instead. There is no floating-point
+    tolerance anywhere; a raster holding anything but integers in int64
+    range is refused. `window` defaults to min(500, T // 2).
     """
     r = np.asarray(raster)
     if r.ndim != 2 or r.size == 0:
@@ -124,17 +124,11 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
                 "integer in int64 range"
             )
         tail = tail.astype(np.int64)
-    seen = set()
-    kept = []
-    for row in tail:
-        key = row.tobytes()
-        if key in seen or not row.any():
-            continue
-        seen.add(key)
-        kept.append(row)
-    if not kept:
-        return 0
-    mat = np.stack(kept)
+    width = tail.shape[1] * tail.itemsize
+    data = tail.tobytes()
+    kept = dict.fromkeys(data[k : k + width] for k in range(0, len(data), width))
+    kept.pop(bytes(width), None)
+    mat = np.frombuffer(b"".join(kept), dtype=tail.dtype).reshape(-1, tail.shape[1])
     return _modular_rank(mat[:, mat.any(axis=0)])
 
 

@@ -101,6 +101,9 @@ class SweepGrid:
             # -0.0 would key different seeds than 0.0 and format as "-0".
             if not 0.0 <= density <= 1.0 or math.copysign(1.0, density) < 0:
                 raise ValueError(f"densities must lie in [0, 1], got {density}")
+        for a, b in itertools.combinations(self.densities, 2):
+            if f"{a:g}" == f"{b:g}":
+                raise ValueError(f"densities {a} and {b} share run_id label d{a:g}")
         for bits in self.bit_widths:
             if not 1 <= bits <= 64:
                 raise ValueError(f"bits must lie in 1..64, got {bits}")
@@ -228,24 +231,24 @@ def build_network(grid: SweepGrid, n: int, density: float, bits: int) -> Network
 def _measure_run(
     net: Network, init: NetworkState, horizon: int, window: int
 ) -> tuple[float, float, int, CycleReport]:
-    """Full-horizon metrics without retaining membrane history.
+    """Full-horizon metrics from the rows stepped to the first revisit.
 
-    Stepping stops at the first exact state revisit t2 = mu + period;
-    from there the trajectory is periodic, so a step row r >= mu of
-    0..horizon-1 repeats recorded row mu + (r - mu) % period, which is r
-    itself before t2. One index array maps every step row to its
-    recorded row, and the spike total and the tail window are read
-    through it; the active set is that of the recorded rows.
-    """
+    A censored run is all transient (mu = horizon, period 1). Recorded
+    row i stands for one step before mu and for (horizon - 1 - i) //
+    period + 1 from mu on; spike counts are weighted by that in Python
+    ints, so the total is exact past 2^63. Only the last `window` step
+    rows s are folded onto recorded rows, s >= mu onto mu + (s - mu) %
+    period."""
     raster, cycle = first_revisit(net, init, horizon)
-    rows = np.arange(horizon)
-    if cycle.status == DETECTED:
-        mu = cycle.transient
-        rows[mu:] = mu + (rows[mu:] - mu) % cycle.period
-    total = int(raster.sum(axis=1, dtype=np.int64)[rows].sum())
-    rate = total / (horizon * net.n)
+    detected = cycle.status == DETECTED
+    mu, period = (cycle.transient, cycle.period) if detected else (horizon, 1)
+    i = np.arange(len(raster))
+    steps = np.where(i < mu, 1, (horizon - 1 - i) // period + 1).astype(object)
+    rate = int(raster.sum(axis=1, dtype=np.int64) @ steps) / (horizon * net.n)
     active = float(np.count_nonzero(raster.any(axis=0))) / net.n
-    rank = pseudo_rank(raster[rows[-window:]], window=window) if window > 0 else 0
+    s = np.arange(horizon - window, horizon)
+    tail = raster[np.where(s < mu, s, mu + (s - mu) % period)]
+    rank = pseudo_rank(tail, window=window) if window > 0 else 0
     return rate, active, rank, cycle
 
 

@@ -1,0 +1,87 @@
+"""tools/bench_pairs.py: quartiles, verdicts, the per-workload summary and
+the plan parser, on hand-made runs (no git, no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_of_one_two_and_five_values():
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench_pairs.quartiles([1.0, 3.0]) == (1.5, 2.0, 2.5)
+    assert bench_pairs.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == (2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "direction, parent, change, expected",
+    [
+        # the change median is 30% worse than the parent's
+        ("higher", [10.0, 10.0, 10.0], [7.0, 7.0, 7.0], "worse"),
+        ("lower", [10.0, 10.0, 10.0], [13.0, 13.0, 13.0], "worse"),
+        # the parent's IQR (9..11) is 20% of its median, over the bound
+        ("higher", [8.0, 10.0, 12.0], [10.0, 10.0, 10.0], "unresolved"),
+        ("lower", [8.0, 10.0, 12.0], [10.0, 10.0, 10.0], "unresolved"),
+        # ... unless every change run beats every parent run
+        ("higher", [8.0, 10.0, 12.0], [13.0, 14.0, 15.0], "holds"),
+        ("lower", [8.0, 10.0, 12.0], [5.0, 6.0, 7.0], "holds"),
+        # a narrow parent and a change within the bound
+        ("higher", [10.0, 10.0, 10.0], [9.5, 9.5, 9.5], "holds"),
+        ("lower", [10.0, 10.0, 10.0], [10.5, 10.5, 10.5], "holds"),
+    ],
+)
+def test_verdict(direction, parent, change, expected):
+    assert bench_pairs.verdict(parent, change, direction, 0.1) == expected
+
+
+def _run(pair, side, value, correct=True):
+    metrics = {"runs_per_s": value, "setup_s": 1.0} if correct else {}
+    return {"workload": "grid", "seed": 100 + pair, "pair": pair, "side": side,
+            "first": "parent", "correct": correct, "units": 3,
+            "metrics": metrics}
+
+
+def test_summarize_ratio_wins_and_a_dropped_pair():
+    runs = [
+        _run(0, "parent", 10.0), _run(0, "change", 12.0),
+        _run(1, "parent", 10.0), _run(1, "change", 9.0),
+        _run(2, "parent", 10.0), _run(2, "change", 11.0),
+        # a failed change run: this pair alone leaves the statistics
+        _run(3, "parent", 10.0), _run(3, "change", None, correct=False),
+    ]
+    summary = bench_pairs.summarize(
+        runs, {"runs_per_s": "higher", "setup_s": "lower"}, {"runs_per_s": 0.25}
+    )
+    grid = summary["grid"]
+    assert grid["pairs"] == 3
+    assert grid["seeds"] == [100, 101, 102]
+    assert grid["all_correct"] is False
+    assert grid["dropped_pairs"] == [{"pair": 3, "seed": 103, "failed": ["change"]}]
+    rate = grid["runs_per_s"]
+    assert (rate["parent_median"], rate["change_median"]) == (10.0, 11.0)
+    assert rate["median_ratio"] == 1.1
+    assert (rate["change_wins"], rate["out_of"]) == (2, 3)
+    assert (rate["bound"], rate["verdict"]) == (0.25, "holds")
+    setup = grid["setup_s"]
+    assert (setup["median_ratio"], setup["change_wins"]) == (1.0, 0)
+    assert "verdict" not in setup
+
+
+def test_summarize_keeps_a_workload_whose_runs_all_pass():
+    runs = [_run(0, "parent", 10.0), _run(0, "change", 10.0)]
+    grid = bench_pairs.summarize(runs, {"runs_per_s": "higher"}, {})["grid"]
+    assert grid["all_correct"] is True
+    assert grid["dropped_pairs"] == []
+    assert grid["runs_per_s"]["change_wins"] == 0
+
+
+@pytest.mark.parametrize("spec", ["grid", "grid=", "=1,2"])
+def test_parse_plan_refuses_a_bad_spec(spec):
+    assert bench_pairs.parse_plan(["focused=7919,1"]) == [("focused", [7919, 1])]
+    with pytest.raises(SystemExit, match="bad plan"):
+        bench_pairs.parse_plan([spec])

@@ -69,6 +69,9 @@ def test_parse_config_text_errors_carry_line_numbers():
         parse_config_text("grid_size = 4\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_text("horizon = soon\n")
+    # a repeated key is refused, not overwritten by its later value
+    with pytest.raises(ValueError, match="line 3: sizes given again, first on line 1"):
+        parse_config_text("sizes = 4\nhorizon = 9\nsizes = 6\n")
 
 
 def test_build_config_defaults():

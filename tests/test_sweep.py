@@ -1,6 +1,7 @@
 """Grid orchestration: seed tree, cell isolation, fused measurement."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,9 @@ def test_grid_validation():
         # Seeds fold modulo 2^64: -1 would run the cells of 2^64 - 1.
         ("master_seed", -1, r"master_seed must lie in 0\.\.2\^64 - 1, got -1"),
         ("master_seed", 1 << 64, r"master_seed must lie in 0\.\.2\^64 - 1"),
+        # both write d0.123457 into the run_id
+        ("densities", [0.1234567, 0.1234568],
+         r"densities 0\.1234567 and 0\.1234568 share run_id label d0\.123457"),
     ],
 )
 def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message):
@@ -430,6 +434,43 @@ def test_measure_run_from_cycle_entry():
         assert got[2] == pseudo_rank(traj.raster, window=window) == rank
         assert got[3] == detect_cycle(net, start, horizon)
         assert got[3].status == status
+
+    # horizons far past the revisit: the spike total is the transient
+    # rows, `laps` whole cycles and `rest` rows of one more, exact where
+    # horizon x n passes 2^63; the window and active set are those of a
+    # short horizon congruent to the long one modulo the period that
+    # still holds the transient and a window
+    mu, period, window = 13, 4, 500
+    counts = simulate(net, start, mu + period).raster.sum(axis=1).tolist()
+    for horizon in (10**6, 10**6 + 3, 2**62 + 1):
+        laps, rest = divmod(horizon - mu, period)
+        total = sum(counts[:mu]) + laps * sum(counts[mu:])
+        total += sum(counts[mu : mu + rest])
+        short = mu + window + (horizon - mu - window) % period
+        traj = simulate(net, start, short)
+        got = _measure_run(net, start, horizon=horizon, window=window)
+        assert got[0] == total / (horizon * net.n)
+        assert got[1] == active_fraction(traj.raster)
+        assert got[2] == pseudo_rank(traj.raster, window=window)
+        assert got[3] == detect_cycle(net, start, short) == detect_cycle(
+            net, start, horizon
+        )
+
+
+def test_run_cell_memory_follows_the_run_not_the_horizon():
+    # this cell first revisits at step 34; a raster or step index of
+    # horizon rows would trace 64 MB or more
+    grid = SweepGrid(horizon=10**6, master_seed=DEFAULT_MASTER_SEED)
+    tracemalloc.start()
+    try:
+        record = run_cell(grid, 64, 0.5, 8, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (record.cycle.status, record.cycle.transient, record.cycle.period) == (
+        DETECTED, 24, 10
+    )
+    assert peak < 2 * 2**20
 
 
 def test_focused_runs_share_one_topology_per_bits():

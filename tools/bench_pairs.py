@@ -14,7 +14,8 @@ The result goes to BENCH_<label>.json at the root of this checkout. It
 holds every run (workload, seed, pair, side, which side ran first, the
 unit count from perfbench's `info` line, `correct` and every metric)
 and, per workload and metric, both medians and quartiles, the
-change/parent median ratio and the pairs the change won. Each
+change/parent median ratio and the pairs the change won; a pair with a
+failed run is left out of those and listed under `dropped_pairs`. Each
 end-to-end metric also gets a verdict from its `bound` in BENCHMARK.json:
 "worse" when the change median is worse than the parent median by more
 than the bound, "unresolved" when the parent's interquartile range is a
@@ -102,28 +103,39 @@ def verdict(parent: list[float], change: list[float], direction: str,
 def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float]) -> dict:
     """Per workload and metric: medians, quartiles, ratio and wins, and a
-    verdict for each metric with a bound."""
+    verdict for each metric with a bound. A pair with a run that is
+    missing or not correct is left out of every statistic and listed
+    under `dropped_pairs`, with the sides that failed."""
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
-        pairs = sorted({r["pair"] for r in mine})
+        seeds = {r["pair"]: r["seed"] for r in mine}
         by_pair = {(r["pair"], r["side"]): r for r in mine}
-        whole = [p for p in pairs if all((p, s) in by_pair for s in SIDES)]
+        failed = {
+            p: [s for s in SIDES if not by_pair.get((p, s), {}).get("correct")]
+            for p in sorted(seeds)
+        }
+        whole = [p for p, sides in failed.items() if not sides]
         entry = {
             "pairs": len(whole),
-            "seeds": [by_pair[p, "parent"]["seed"] for p in whole],
+            "seeds": [seeds[p] for p in whole],
             "all_correct": all(r["correct"] for r in mine),
+            "dropped_pairs": [
+                {"pair": p, "seed": seeds[p], "failed": sides}
+                for p, sides in failed.items() if sides
+            ],
             "units_parent": [by_pair[p, "parent"]["units"] for p in whole],
             "units_change": [by_pair[p, "change"]["units"] for p in whole],
         }
         names = dict.fromkeys(k for r in mine for k in r["metrics"])
         for name in names:
-            values = {
-                s: [by_pair[p, s]["metrics"].get(name) for p in whole]
-                for s in SIDES
-            }
-            if not whole or any(None in v for v in values.values()):
+            kept = [p for p in whole
+                    if all(name in by_pair[p, s]["metrics"] for s in SIDES)]
+            if not kept:
                 continue
+            values = {
+                s: [by_pair[p, s]["metrics"][name] for p in kept] for s in SIDES
+            }
             pq1, pmed, pq3 = quartiles(values["parent"])
             cq1, cmed, cq3 = quartiles(values["change"])
             direction = better.get(name)
@@ -141,7 +153,7 @@ def summarize(runs: list[dict], better: dict[str, str],
                 "change_q1_q3": [cq1, cq3],
                 "parent_iqr_share_of_median": (pq3 - pq1) / pmed if pmed else None,
                 "change_wins": wins,
-                "out_of": len(whole),
+                "out_of": len(kept),
             }
             if name in bounds:
                 entry[name]["bound"] = bounds[name]
@@ -156,7 +168,7 @@ def parse_plan(specs: list[str]) -> list[tuple[str, list[int]]]:
     plan = []
     for spec in specs:
         workload, sep, seeds = spec.partition("=")
-        if not sep or not seeds:
+        if not sep or not workload or not seeds:
             raise SystemExit(f"bad plan {spec!r}: want WORKLOAD=SEED,SEED,...")
         plan.append((workload, [int(s) for s in seeds.split(",")]))
     return plan
