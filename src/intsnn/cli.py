@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .config import _SCHEMA, load_config, parse_int_list
+from .config import _SCHEMA, load_config, parse_float, parse_int, parse_int_list
 from .dynamics import (
     DEFAULT_STATE_BUDGET,
     detection_mismatches,
@@ -33,6 +33,7 @@ from .sweep import (
     FOCUSED_DENSITY,
     FOCUSED_SEEDS,
     FOCUSED_SIZE,
+    _MODES,
     CellError,
     build_network,
     cell_seeds,
@@ -53,15 +54,17 @@ def _ensure_dir(path: str) -> Path:
 
 def _workers(config) -> int | None:
     """Pool size: `workers` from the flag or the config file, which
-    config.workers already holds in that precedence, else INTSNN_WORKERS.
-    Refused below 1 before anything runs or is written."""
+    config.workers already holds in that precedence, else INTSNN_WORKERS
+    under the same parser. Refused below 1 before anything runs or is
+    written."""
     workers, source = config.workers, "workers"
     if workers is None:
         raw = os.environ.get("INTSNN_WORKERS")
         if not raw:
             return None
+        source = "workers (INTSNN_WORKERS)"
         try:
-            workers, source = int(raw), "workers (INTSNN_WORKERS)"
+            workers = _SCHEMA["workers"][0](raw)
         except ValueError:
             raise ValueError(f"INTSNN_WORKERS must be an integer, got {raw!r}")
     if workers < 1:
@@ -279,19 +282,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    sub.add_argument("--horizon", type=int, default=None)
-    sub.add_argument("--threshold-lo", dest="threshold_lo", type=int, default=None)
-    sub.add_argument("--threshold-hi", dest="threshold_hi", type=int, default=None)
-    sub.add_argument("--leak-k", dest="leak_k", type=int, default=None)
-    sub.add_argument("--weight-lo", dest="weight_lo", type=int, default=None)
-    sub.add_argument("--weight-hi", dest="weight_hi", type=int, default=None)
-    sub.add_argument("--signedness", choices=["unsigned", "signed"], default=None)
-    sub.add_argument("--overflow-mode", dest="overflow_mode",
-                     choices=["saturate", "wrap"], default=None)
-    sub.add_argument("--reset-mode", dest="reset_mode",
-                     choices=["none", "subtract_threshold"], default=None)
+# Config keys that `simulate`, `sweep`, `focused` and `oracle` take as flags.
+_MODEL_KEYS = (
+    "master_seed", "horizon", "threshold_lo", "threshold_hi", "leak_k",
+    "weight_lo", "weight_hi", "signedness", "overflow_mode", "reset_mode",
+)
+
+
+def _add_key_flags(sub: argparse.ArgumentParser, keys) -> None:
+    """`--<key>` for each config key, parsed by the key's config parser."""
+    for key in keys:
+        sub.add_argument(
+            "--" + key.replace("_", "-"), type=_SCHEMA[key][0], choices=_MODES.get(key)
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="one run: trajectory CSV and figures")
     sim.add_argument("--config", default=None)
     sim.add_argument("--out", default=None)
-    sim.add_argument("--n", type=int, default=64)
-    sim.add_argument("--density", type=float, default=0.5)
-    sim.add_argument("--bits", dest="bits_value", type=int, default=8)
+    sim.add_argument("--n", type=parse_int, default=64)
+    sim.add_argument("--density", type=parse_float, default=0.5)
+    sim.add_argument("--bits", dest="bits_value", type=parse_int, default=8)
     sim.add_argument("--seed", type=int, default=0,
                      help="initial-condition stream index")
     sim.add_argument("--trace-neurons", dest="trace_neurons", default=None,
@@ -315,41 +318,40 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--tau", type=int, default=1)
     sim.add_argument("--figures", action=argparse.BooleanOptionalAction,
                      default=None)
-    _add_model_flags(sim)
+    _add_key_flags(sim, _MODEL_KEYS)
     sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="full grid: records, summaries, figures")
     swp.add_argument("--config", default=None)
     swp.add_argument("--out", default=None)
-    swp.add_argument("--workers", type=int, default=None)
-    swp.add_argument("--variant", default=None)
     swp.add_argument("--figures", action=argparse.BooleanOptionalAction,
                      default=None)
-    _add_model_flags(swp)
+    _add_key_flags(swp, _MODEL_KEYS + ("workers", "variant"))
     swp.set_defaults(func=cmd_sweep)
 
     foc = sub.add_parser("focused", help="repeated seeds on one topology per bits")
     foc.add_argument("--config", default=None)
     foc.add_argument("--out", default=None)
-    foc.add_argument("--workers", type=int, default=None)
-    foc.add_argument("--n", type=int, default=FOCUSED_SIZE)
-    foc.add_argument("--density", type=float, default=FOCUSED_DENSITY)
+    foc.add_argument("--n", type=parse_int, default=FOCUSED_SIZE)
+    foc.add_argument("--density", type=parse_float, default=FOCUSED_DENSITY)
     foc.add_argument("--bits", dest="bit_widths", default=None,
                      help="bit widths, e.g. 1..16 or 4,8,16")
     foc.add_argument("--seeds", type=int, default=FOCUSED_SEEDS)
     foc.add_argument("--figures", action=argparse.BooleanOptionalAction,
                      default=None)
-    _add_model_flags(foc)
+    _add_key_flags(foc, _MODEL_KEYS + ("workers",))
     foc.set_defaults(func=cmd_focused)
 
     orc = sub.add_parser("oracle", help="exhaustive enumeration vs detector")
     orc.add_argument("--config", default=None)
     orc.add_argument("--out", default=None)
-    orc.add_argument("--n", type=int, required=True)
-    orc.add_argument("--bits", dest="bits_value", type=int, required=True)
-    orc.add_argument("--density", type=float, default=0.5)
+    orc.add_argument("--n", type=parse_int, required=True)
+    orc.add_argument("--bits", dest="bits_value", type=parse_int, required=True)
+    orc.add_argument("--density", type=parse_float, default=0.5)
     orc.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
-    _add_model_flags(orc)
+    # Enumeration steps each state once and the replay takes its
+    # horizons from the report, so the oracle reads no horizon.
+    _add_key_flags(orc, [k for k in _MODEL_KEYS if k != "horizon"])
     orc.set_defaults(func=cmd_oracle)
 
     rep = sub.add_parser("report", help="rank recorded runs by recurrence richness")

@@ -103,26 +103,28 @@ class RunConfig:
     variant: str | None = None
 
 
-# key -> (parser, attribute target); "grid:" prefixed targets live on the grid
+# key -> (parser, owner, attribute, slot): the value lands on
+# `config.<owner>` ("grid") or on the config itself (None), at `slot` of
+# the (lo, hi) pair when the attribute is a range.
 _SCHEMA = {
-    "sizes": (parse_int_list, "grid:sizes"),
-    "densities": (parse_float_list, "grid:densities"),
-    "bits": (parse_int_list, "grid:bit_widths"),
-    "horizon": (parse_int, "grid:horizon"),
-    "threshold_lo": (parse_int, "grid:threshold_lo"),
-    "threshold_hi": (parse_int, "grid:threshold_hi"),
-    "leak_k": (parse_int, "grid:leak_k"),
-    "seeds_per_cell": (parse_int, "grid:seeds_per_cell"),
-    "master_seed": (parse_int, "grid:master_seed"),
-    "weight_lo": (parse_int, "grid:weight_lo"),
-    "weight_hi": (parse_int, "grid:weight_hi"),
-    "signedness": (str, "grid:signedness"),
-    "overflow_mode": (str, "grid:overflow_mode"),
-    "reset_mode": (str, "grid:reset_mode"),
-    "output_dir": (str, "output_dir"),
-    "workers": (parse_int, "workers"),
-    "figures": (parse_bool, "figures"),
-    "variant": (str, "variant"),
+    "sizes": (parse_int_list, "grid", "sizes", None),
+    "densities": (parse_float_list, "grid", "densities", None),
+    "bits": (parse_int_list, "grid", "bit_widths", None),
+    "horizon": (parse_int, "grid", "horizon", None),
+    "threshold_lo": (parse_int, "grid", "threshold_range", 0),
+    "threshold_hi": (parse_int, "grid", "threshold_range", 1),
+    "leak_k": (parse_int, "grid", "leak_k", None),
+    "seeds_per_cell": (parse_int, "grid", "seeds_per_cell", None),
+    "master_seed": (parse_int, "grid", "master_seed", None),
+    "weight_lo": (parse_int, "grid", "weight_range", 0),
+    "weight_hi": (parse_int, "grid", "weight_range", 1),
+    "signedness": (str, "grid", "signedness", None),
+    "overflow_mode": (str, "grid", "overflow_mode", None),
+    "reset_mode": (str, "grid", "reset_mode", None),
+    "output_dir": (str, None, "output_dir", None),
+    "workers": (parse_int, None, "workers", None),
+    "figures": (parse_bool, None, "figures", None),
+    "variant": (str, None, "variant", None),
 }
 
 
@@ -144,30 +146,22 @@ def parse_config_text(text: str) -> dict[str, object]:
         first = first_line.setdefault(key, lineno)
         if first != lineno:
             raise ValueError(f"line {lineno}: {key} given again, first on line {first}")
-        parser, _ = _SCHEMA[key]
         try:
-            values[key] = parser(raw_value)
+            values[key] = _SCHEMA[key][0](raw_value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _apply(config: RunConfig, values: dict[str, object]) -> None:
-    grid = config.grid
     for key, value in values.items():
-        _, target = _SCHEMA[key]
-        if target == "grid:threshold_lo":
-            grid.threshold_range = (int(value), grid.threshold_range[1])
-        elif target == "grid:threshold_hi":
-            grid.threshold_range = (grid.threshold_range[0], int(value))
-        elif target == "grid:weight_lo":
-            grid.weight_range = (int(value), grid.weight_range[1])
-        elif target == "grid:weight_hi":
-            grid.weight_range = (grid.weight_range[0], int(value))
-        elif target.startswith("grid:"):
-            setattr(grid, target.split(":", 1)[1], value)
-        else:
-            setattr(config, target, value)
+        _, owner, attr, slot = _SCHEMA[key]
+        target = getattr(config, owner) if owner else config
+        if slot is not None:
+            pair = list(getattr(target, attr))
+            pair[slot] = value
+            value = tuple(pair)
+        setattr(target, attr, value)
 
 
 def build_config(
@@ -179,19 +173,14 @@ def build_config(
     for key in overrides:
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
-
-    variant = overrides.get("variant", file_values.get("variant"))
+    values = {**file_values, **overrides}
+    variant = values.get("variant")
+    if variant is not None and variant not in VARIANT_PRESETS:
+        known = ", ".join(sorted(VARIANT_PRESETS))
+        raise ValueError(f"unknown variant {variant!r} (known: {known})")
     config = RunConfig()
-    if variant is not None:
-        preset = VARIANT_PRESETS.get(str(variant))
-        if preset is None:
-            known = ", ".join(sorted(VARIANT_PRESETS))
-            raise ValueError(f"unknown variant {variant!r} (known: {known})")
-        config.variant = str(variant)
-        for attr, value in preset.items():
-            setattr(config.grid, attr, value)
-    _apply(config, file_values)
-    _apply(config, overrides)
+    # Preset keys are config keys, applied below the file and flags.
+    _apply(config, {**VARIANT_PRESETS.get(variant, {}), **values})
     return config
 
 

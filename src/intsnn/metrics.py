@@ -106,9 +106,9 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     horizon = r.shape[0]
     if window is None:
         window = default_window(horizon)
-    if window > horizon:
-        raise ValueError(f"window {window} exceeds horizon {horizon}")
-    if window <= 0:
+    if not 0 <= window <= horizon:
+        raise ValueError(f"window must lie in 0..{horizon}, got {window}")
+    if window == 0:
         return 0
     tail = r[horizon - window :]
     # Rows are deduplicated in their own dtype (uint8 for sweep rasters)

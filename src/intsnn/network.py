@@ -175,6 +175,9 @@ class Network:
         self._hi = d.max_value
         # The cardinality is 2^bits, so wrapping is a mask of the offset.
         self._mask = d.cardinality - 1
+        # Potentials lie below 2^64 in magnitude, so any shift of 64 or
+        # more leaves 0 or -1; capped, an int64 array can take it.
+        self._shift = min(self.leak_k, 64)
 
     @property
     def state_dtype(self):
@@ -192,7 +195,7 @@ class Network:
         every leading index is stepped independently.
         """
         acc = s.dot(self._wt_exec)
-        raw = (v - (v >> self.leak_k)) + acc
+        raw = (v - (v >> self._shift)) + acc
         v_next = self._clamp_vec(raw)
         fired = v_next >= self._th_exec
         s_next = fired.astype(np.int64)

@@ -60,6 +60,14 @@ VARIANT_PRESETS: dict[str, dict] = {
     "variant-k8": {"leak_k": 8, "densities": [0.2]},
 }
 
+# The allowed values of each mode key, which `validate` and the
+# command-line choices both read.
+_MODES = {
+    "signedness": (UNSIGNED, SIGNED),
+    "overflow_mode": (SATURATE, WRAP),
+    "reset_mode": (RESET_NONE, RESET_SUBTRACT),
+}
+
 
 @dataclass
 class SweepGrid:
@@ -112,8 +120,9 @@ class SweepGrid:
             raise ValueError(
                 f"master_seed must lie in 0..2^64 - 1, got {self.master_seed}"
             )
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        # Step indices are int64 in _measure_run.
+        if not 1 <= self.horizon < 1 << 63:
+            raise ValueError(f"horizon must lie in 1..2^63 - 1, got {self.horizon}")
         if self.seeds_per_cell < 1:
             raise ValueError(
                 f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}"
@@ -143,12 +152,8 @@ class SweepGrid:
             raise ValueError(f"weight_hi must be <= 2^63 - 1, got {w_hi}")
         if w_lo == w_hi == 0:
             raise ValueError("weight_lo = weight_hi = 0 leaves no nonzero weight")
-        modes = (
-            ("signedness", self.signedness, (UNSIGNED, SIGNED)),
-            ("overflow_mode", self.overflow_mode, (SATURATE, WRAP)),
-            ("reset_mode", self.reset_mode, (RESET_NONE, RESET_SUBTRACT)),
-        )
-        for key, value, allowed in modes:
+        for key, allowed in _MODES.items():
+            value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(
                     f"{key} must be one of {', '.join(allowed)}, got {value!r}"

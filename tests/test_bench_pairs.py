@@ -80,7 +80,7 @@ def test_summarize_keeps_a_workload_whose_runs_all_pass():
     assert grid["runs_per_s"]["change_wins"] == 0
 
 
-@pytest.mark.parametrize("spec", ["grid", "grid=", "=1,2"])
+@pytest.mark.parametrize("spec", ["grid", "grid=", "=1,2", "grid=1,x", "grid=1,,2"])
 def test_parse_plan_refuses_a_bad_spec(spec):
     assert bench_pairs.parse_plan(["focused=7919,1"]) == [("focused", [7919, 1])]
     with pytest.raises(SystemExit, match="bad plan"):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from intsnn import cli
 from intsnn.cli import main
 from intsnn.config import (
     build_config,
@@ -200,9 +201,16 @@ def sweep_args(out, extra=()):
     ]
 
 
+SMALL_CONFIG = {"sizes": "3, 4", "densities": "0.5", "bits": "2..4", "horizon": "40"}
+
+
+def config_text(values):
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
 def write_small_config(tmp_path):
     path = tmp_path / "small.cfg"
-    path.write_text("sizes = 3, 4\ndensities = 0.5\nbits = 2..4\nhorizon = 40\n")
+    path.write_text(config_text(SMALL_CONFIG))
     return path
 
 
@@ -247,6 +255,91 @@ def test_cli_sweep_honors_worker_env(tmp_path, monkeypatch):
     assert (serial / "records.csv").read_bytes() == (pooled / "records.csv").read_bytes()
     monkeypatch.setenv("INTSNN_WORKERS", "two")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"master_seed": "0x2A", "horizon": "0x14"},
+        {"threshold_lo": "0b11"},
+        {"threshold_hi": "0x7"},
+        {"leak_k": "0b10"},
+        {"weight_lo": "-0b11"},
+        {"weight_hi": "0o5"},
+        {"signedness": "signed"},
+        {"overflow_mode": "wrap"},
+        {"reset_mode": "subtract_threshold"},
+        {"workers": "0x2"},
+        {"variant": "variant-k8"},
+        {"master_seed": "1_000"},
+    ],
+)
+def test_cli_flag_parses_as_the_config_file_does(tmp_path, values):
+    base = config_text({k: v for k, v in SMALL_CONFIG.items() if k not in values})
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    (tmp_path / "base.cfg").write_text(base)
+    (tmp_path / "full.cfg").write_text(base + config_text(values))
+    assert main(["sweep", "--config", str(tmp_path / "base.cfg"),
+                 "--out", str(tmp_path / "flag"), "--no-figures", *flags]) == 0
+    assert main(["sweep", "--config", str(tmp_path / "full.cfg"),
+                 "--out", str(tmp_path / "file"), "--no-figures"]) == 0
+    for name in ("records.csv", "manifest.json"):
+        flag_bytes = (tmp_path / "flag" / name).read_bytes()
+        assert flag_bytes == (tmp_path / "file" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_cli_workers_parse_alike_from_every_source(tmp_path, monkeypatch, source):
+    cfg = write_small_config(tmp_path)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+    args = ["sweep", "--config", str(cfg), "--out", str(pooled)]
+    if source == "flag":
+        args += ["--workers", "0x2"]
+    elif source == "config":
+        cfg.write_text(cfg.read_text() + "workers = 0x2\n")
+    else:
+        monkeypatch.setenv("INTSNN_WORKERS", "0x2")
+    pools = []
+    real_run_grid = cli.run_grid
+
+    def run_grid(grid, workers=None):
+        pools.append(workers)
+        return real_run_grid(grid, workers=workers)
+
+    monkeypatch.setattr(cli, "run_grid", run_grid)
+    assert main(args) == 0
+    assert pools == [2]
+    assert (serial / "records.csv").read_bytes() == (pooled / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sweep", "--signedness", "bogus"),
+         "argument --signedness: invalid choice: 'bogus'"),
+        # a zero-padded integer is refused here as it is in a config file
+        (("sweep", "--master-seed", "0100"), "argument --master-seed: invalid"),
+        (("sweep", "--horizon", "soon"), "argument --horizon: invalid"),
+        (("oracle", "--n", "1", "--bits", "2", "--horizon", "5"),
+         "unrecognized arguments: --horizon 5"),
+    ],
+)
+def test_cli_refuses_bad_flags_when_parsing(tmp_path, capsys, args, message):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_help_lists_mode_choices(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    printed = capsys.readouterr().out
+    for choices in ("{unsigned,signed}", "{saturate,wrap}", "{none,subtract_threshold}"):
+        assert choices in printed
 
 
 @pytest.mark.parametrize("command", ["sweep", "focused"])
@@ -371,6 +464,8 @@ def test_cli_report_refuses_count_below_one(tmp_path, capsys, count):
          f"weight_lo must be >= -2^63, got {-(1 << 63) - 1}"),
         (("--threshold-hi", str(1 << 70)),
          "threshold_hi - threshold_lo + 1 must be at most 2^64"),
+        (("--horizon", str(1 << 63)),
+         f"horizon must lie in 1..2^63 - 1, got {1 << 63}"),
     ],
 )
 def test_cli_sweep_refuses_unsampleable_ranges_before_writing(

@@ -95,6 +95,8 @@ def test_pseudo_rank_window_semantics():
     assert pseudo_rank(raster, window=2) == 1  # tail rows are duplicates
     assert pseudo_rank(raster) == 1  # default window is 3 // 2 == 1
     assert pseudo_rank(raster, window=0) == 0
+    with pytest.raises(ValueError, match="window"):
+        pseudo_rank(np.ones((4, 2), dtype=np.uint8), window=-3)
     with pytest.raises(ValueError):
         pseudo_rank(raster, window=4)
     with pytest.raises(ValueError):

@@ -95,12 +95,16 @@ def test_grid_validation():
         SweepGrid(sizes=[]).validate()
     with pytest.raises(ValueError):
         SweepGrid(horizon=0).validate()
+    # step indices are int64: a longer horizon is refused, not overflowed
+    with pytest.raises(ValueError, match=r"horizon must lie in 1\.\.2\^63 - 1"):
+        SweepGrid(horizon=2**63 + 5).validate()
     with pytest.raises(ValueError):
         SweepGrid(seeds_per_cell=0).validate()
     # the boundary values themselves are accepted
     tiny_grid(sizes=[1], densities=[0.0, 1.0], bit_widths=[1, 64]).validate()
     tiny_grid(weight_range=(-(1 << 63), (1 << 63) - 1)).validate()
     tiny_grid(threshold_range=(1, 1 << 64)).validate()
+    tiny_grid(horizon=(1 << 63) - 1).validate()
     # and the builder samples them: int64 weights, a 2^64 threshold span
     for kwargs in ({"weight_range": (-(1 << 63), (1 << 63) - 1)},
                    {"threshold_range": (1 << 70, (1 << 70) + (1 << 64) - 1)}):
@@ -148,6 +152,23 @@ def test_grid_validation_rejects_bad_axes_before_any_cell(field, values, message
         grid.validate()
     with pytest.raises(ValueError, match=message):
         run_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "bits, signedness, dtype",
+    [(8, "unsigned", np.int64), (62, "signed", np.int64),
+     (64, "signed", object), (64, "unsigned", object)],
+)
+def test_leak_shift_of_64_or_more_acts_as_64(bits, signedness, dtype):
+    # Potentials lie below 2^64 in magnitude, so such a shift leaves 0 or -1.
+    def grid(leak_k):
+        return SweepGrid(sizes=[6], densities=[0.5], bit_widths=[bits], horizon=60,
+                         master_seed=3, leak_k=leak_k, signedness=signedness)
+
+    assert build_network(grid(1 << 63), 6, 0.5, bits).state_dtype is dtype
+    expected = run_grid(grid(64))
+    for leak_k in (65, 1 << 63, 1 << 70):
+        assert run_grid(grid(leak_k)) == expected, leak_k
 
 
 @pytest.mark.parametrize("workers", [1, 2])

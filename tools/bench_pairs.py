@@ -168,9 +168,12 @@ def parse_plan(specs: list[str]) -> list[tuple[str, list[int]]]:
     plan = []
     for spec in specs:
         workload, sep, seeds = spec.partition("=")
-        if not sep or not workload or not seeds:
-            raise SystemExit(f"bad plan {spec!r}: want WORKLOAD=SEED,SEED,...")
-        plan.append((workload, [int(s) for s in seeds.split(",")]))
+        try:
+            if not sep or not workload:
+                raise ValueError(spec)
+            plan.append((workload, [int(s) for s in seeds.split(",")]))
+        except ValueError:
+            raise SystemExit(f"bad plan {spec!r}: want WORKLOAD=SEED,SEED,...") from None
     return plan
 
 
