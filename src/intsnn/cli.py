@@ -289,11 +289,26 @@ _MODEL_KEYS = (
 )
 
 
+def _typed(name: str, parse):
+    """`parse` as an argparse type whose error reads as a config file's:
+    `bad value for master_seed: invalid literal for int() ...`."""
+
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value for {name}: {exc}") from exc
+
+    return parse_flag
+
+
 def _add_key_flags(sub: argparse.ArgumentParser, keys) -> None:
     """`--<key>` for each config key, parsed by the key's config parser."""
     for key in keys:
         sub.add_argument(
-            "--" + key.replace("_", "-"), type=_SCHEMA[key][0], choices=_MODES.get(key)
+            "--" + key.replace("_", "-"),
+            type=_typed(key, _SCHEMA[key][0]),
+            choices=_MODES.get(key),
         )
 
 
@@ -307,15 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="one run: trajectory CSV and figures")
     sim.add_argument("--config", default=None)
     sim.add_argument("--out", default=None)
-    sim.add_argument("--n", type=parse_int, default=64)
-    sim.add_argument("--density", type=parse_float, default=0.5)
-    sim.add_argument("--bits", dest="bits_value", type=parse_int, default=8)
-    sim.add_argument("--seed", type=int, default=0,
+    sim.add_argument("--n", type=_typed("n", parse_int), default=64)
+    sim.add_argument("--density", type=_typed("density", parse_float), default=0.5)
+    sim.add_argument("--bits", dest="bits_value", type=_typed("bits", parse_int),
+                     default=8)
+    sim.add_argument("--seed", type=_typed("seed", parse_int), default=0,
                      help="initial-condition stream index")
     sim.add_argument("--trace-neurons", dest="trace_neurons", default=None,
                      help="comma list of neurons for the trace figure")
-    sim.add_argument("--embed-neuron", dest="embed_neuron", type=int, default=0)
-    sim.add_argument("--tau", type=int, default=1)
+    sim.add_argument("--embed-neuron", dest="embed_neuron",
+                     type=_typed("embed_neuron", parse_int), default=0)
+    sim.add_argument("--tau", type=_typed("tau", parse_int), default=1)
     sim.add_argument("--figures", action=argparse.BooleanOptionalAction,
                      default=None)
     _add_key_flags(sim, _MODEL_KEYS)
@@ -332,11 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     foc = sub.add_parser("focused", help="repeated seeds on one topology per bits")
     foc.add_argument("--config", default=None)
     foc.add_argument("--out", default=None)
-    foc.add_argument("--n", type=parse_int, default=FOCUSED_SIZE)
-    foc.add_argument("--density", type=parse_float, default=FOCUSED_DENSITY)
+    foc.add_argument("--n", type=_typed("n", parse_int), default=FOCUSED_SIZE)
+    foc.add_argument("--density", type=_typed("density", parse_float),
+                     default=FOCUSED_DENSITY)
     foc.add_argument("--bits", dest="bit_widths", default=None,
                      help="bit widths, e.g. 1..16 or 4,8,16")
-    foc.add_argument("--seeds", type=int, default=FOCUSED_SEEDS)
+    foc.add_argument("--seeds", type=_typed("seeds", parse_int), default=FOCUSED_SEEDS)
     foc.add_argument("--figures", action=argparse.BooleanOptionalAction,
                      default=None)
     _add_key_flags(foc, _MODEL_KEYS + ("workers",))
@@ -345,10 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exhaustive enumeration vs detector")
     orc.add_argument("--config", default=None)
     orc.add_argument("--out", default=None)
-    orc.add_argument("--n", type=parse_int, required=True)
-    orc.add_argument("--bits", dest="bits_value", type=parse_int, required=True)
-    orc.add_argument("--density", type=parse_float, default=0.5)
-    orc.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
+    orc.add_argument("--n", type=_typed("n", parse_int), required=True)
+    orc.add_argument("--bits", dest="bits_value", type=_typed("bits", parse_int),
+                     required=True)
+    orc.add_argument("--density", type=_typed("density", parse_float), default=0.5)
+    orc.add_argument("--budget", type=_typed("budget", parse_int),
+                     default=DEFAULT_STATE_BUDGET)
     # Enumeration steps each state once and the replay takes its
     # horizons from the report, so the oracle reads no horizon.
     _add_key_flags(orc, [k for k in _MODEL_KEYS if k != "horizon"])
@@ -356,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="rank recorded runs by recurrence richness")
     rep.add_argument("--records", required=True)
-    rep.add_argument("--count", type=int, default=10)
+    rep.add_argument("--count", type=_typed("count", parse_int), default=10)
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_report)
 

@@ -10,6 +10,7 @@ instead and serves as the ground truth the detector is tested against.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,35 +76,72 @@ def simulate(net: Network, init: NetworkState, horizon: int) -> Trajectory:
 
 
 def first_revisit(
-    net: Network, init: NetworkState, horizon: int
-) -> tuple[np.ndarray, CycleReport]:
-    """First-visit recurrence scan over the full (v, s) state of one
-    trajectory, v and s of shape (n,).
+    net: Network, v: np.ndarray, s: np.ndarray, horizon: int
+) -> Iterator[tuple[int, np.ndarray, CycleReport]]:
+    """First-visit recurrence scan of the trajectories of a batch of
+    lanes, v and s of shape (B, n): row b steps by `net`, or by lane b of
+    a LaneStack. One state is a batch of one lane.
 
-    On the first revisit at time t2 of a state first seen at t1 the scan
-    reports transient t1 and period t2 - t1. The first repeat of a
-    deterministic map is always the cycle entry state, so the transient
-    is exact. A trajectory with no repeat within `horizon` steps is
-    censored. Keeps a map from visited state to first-visit time and the
-    uint8 spike rows it steps, so time and memory follow t2, not the
-    horizon; returns those rows stacked, steps 1..t2 (all `horizon` when
-    censored), and the CycleReport.
+    Each tick steps the live lanes in one step_arrays call. Each lane
+    keeps a map from visited state to first-visit time, keyed on the
+    exact bytes of net.state_keys. On the first revisit at time t2 of a
+    state first seen at t1 the lane reports transient t1 and period
+    t2 - t1. The first repeat of a deterministic map is always the cycle
+    entry state, so the transient is exact. The lane then retires: the
+    scan yields (b, rows, report), where rows are its uint8 spike rows
+    of steps 1..t2, rebuilt from the map's keys in insertion order (the
+    row at t2 is the row at t1), and drops the map. Lanes with no repeat
+    within `horizon` steps are yielded censored after the last tick,
+    with all `horizon` rows. So time and memory follow t2, not the
+    horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    v = np.asarray(init.v)
-    s = np.asarray(init.s)
-    # Spikes are 0 or 1, so uint8 encodes them exactly; keys and rows
-    # then hold one byte per neuron for them, not eight.
-    seen = {net.state_key(v, s.astype(np.uint8)): 0}
-    rows = []
+    v, s = np.asarray(v), np.asarray(s)
+    lanes = list(range(len(v)))  # input lane of each live row
+    # Insertion order is visit order, so a map needs no times.
+    seen = [{key: None} for key in net.state_keys(v, s)]
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
-        rows.append(s.astype(np.uint8))
-        first = seen.setdefault(net.state_key(v, rows[-1]), t)
-        if first != t:
-            return np.stack(rows), CycleReport(DETECTED, first, t - first)
-    return np.stack(rows), CycleReport(CENSORED)
+        retired = {}
+        for i, key in enumerate(net.state_keys(v, s)):
+            if key not in seen[i]:
+                seen[i][key] = None
+            else:
+                retired[i] = _retire(net, seen[i], key, t)
+                seen[i] = None
+        if not retired:
+            continue
+        for i, (rows, report) in retired.items():
+            yield lanes[i], rows, report
+        keep = [i for i in range(len(lanes)) if i not in retired]
+        if not keep:
+            return
+        net, v, s = net.take_lanes(keep), v[keep], s[keep]
+        lanes, seen = [lanes[i] for i in keep], [seen[i] for i in keep]
+    for i, lane in enumerate(lanes):
+        rows, report = _retire(net, seen[i], None, horizon)
+        seen[i] = None
+        yield lane, rows, report
+
+
+def _retire(
+    net: Network, visits: dict, key: bytes | None, t: int
+) -> tuple[np.ndarray, CycleReport]:
+    """The uint8 spike rows of steps 1..t and the report of a lane whose
+    map holds its states at times 0..t - 1 and whose state at t has
+    `key`, a revisit; None for a lane censored at horizon t."""
+    keys = list(visits)
+    if key is None:
+        report = CycleReport(CENSORED)
+    else:
+        first = keys.index(key)
+        report = CycleReport(DETECTED, first, t - first)
+        keys.append(key)
+    del keys[0]
+    flat = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
+    skip = net.n * np.dtype(net.key_dtype).itemsize
+    return np.unpackbits(flat[:, skip:], axis=1, count=net.n), report
 
 
 def _batch_revisits(
@@ -172,7 +210,8 @@ def detect_cycle(
     of start-state indices instead, two int64 arrays (transients,
     periods) with -1 for censored lanes."""
     if isinstance(init, NetworkState):
-        return first_revisit(net, init, horizon)[1]
+        v, s = np.asarray(init.v)[None], np.asarray(init.s)[None]
+        return next(first_revisit(net, v, s, horizon))[2]
     return _batch_revisits(net, init, horizon)
 
 

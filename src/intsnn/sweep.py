@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -23,8 +24,8 @@ from .metrics import (
 from .network import (
     RESET_NONE,
     RESET_SUBTRACT,
+    LaneStack,
     Network,
-    NetworkState,
     generate_topology,
     initial_state,
     sample_thresholds,
@@ -55,6 +56,14 @@ DEFAULT_WEIGHT_RANGE = (-4, 4)
 FOCUSED_SIZE = 64
 FOCUSED_DENSITY = 0.5
 FOCUSED_SEEDS = 5
+
+# Cells per cohort, the unit of sweep work. Its live lanes step in one
+# kernel call per tick, and each lane holds its visited states until it
+# retires, so memory grows with the width. On a 2-core Xeon, 8 focused
+# sweeps took 1.98 s with one network a job, and 1.54, 1.42 and 1.36 s
+# with cohorts of 8, 16 and 32 lanes; at 8 the benchmark's focused peak
+# RSS stays within 7% of one network a job, at 16 it read 7-10% above.
+LANES = 8
 
 VARIANT_PRESETS: dict[str, dict] = {
     "variant-k8": {"leak_k": 8, "densities": [0.2]},
@@ -234,9 +243,10 @@ def build_network(grid: SweepGrid, n: int, density: float, bits: int) -> Network
 
 
 def _measure_run(
-    net: Network, init: NetworkState, horizon: int, window: int
-) -> tuple[float, float, int, CycleReport]:
-    """Full-horizon metrics from the rows stepped to the first revisit.
+    rows: np.ndarray, cycle: CycleReport, horizon: int, window: int
+) -> tuple[float, float, int]:
+    """Full-horizon metrics from the spike rows of steps 1..t2 (all
+    `horizon` rows when censored) that first_revisit yields.
 
     A censored run is all transient (mu = horizon, period 1). Recorded
     row i stands for one step before mu and for (horizon - 1 - i) //
@@ -244,17 +254,17 @@ def _measure_run(
     ints, so the total is exact past 2^63. Only the last `window` step
     rows s are folded onto recorded rows, s >= mu onto mu + (s - mu) %
     period."""
-    raster, cycle = first_revisit(net, init, horizon)
+    n = rows.shape[1]
     detected = cycle.status == DETECTED
     mu, period = (cycle.transient, cycle.period) if detected else (horizon, 1)
-    i = np.arange(len(raster))
+    i = np.arange(len(rows))
     steps = np.where(i < mu, 1, (horizon - 1 - i) // period + 1).astype(object)
-    rate = int(raster.sum(axis=1, dtype=np.int64) @ steps) / (horizon * net.n)
-    active = float(np.count_nonzero(raster.any(axis=0))) / net.n
+    rate = int(rows.sum(axis=1, dtype=np.int64) @ steps) / (horizon * n)
+    active = float(np.count_nonzero(rows.any(axis=0))) / n
     s = np.arange(horizon - window, horizon)
-    tail = raster[np.where(s < mu, s, mu + (s - mu) % period)]
+    tail = rows[np.where(s < mu, s, mu + (s - mu) % period)]
     rank = pseudo_rank(tail, window=window) if window > 0 else 0
-    return rate, active, rank, cycle
+    return rate, active, rank
 
 
 def run_cell(
@@ -265,18 +275,26 @@ def run_cell(
     seed_idx: int,
     *,
     net: Network | None = None,
+    revisit: tuple[np.ndarray, CycleReport] | None = None,
 ) -> MetricsRecord:
     """One record, reproducible in isolation from the grid parameters.
 
-    `net`, when given, must be `build_network(grid, n, density, bits)`;
-    it lets the seeds of one cell share a network built once.
+    A cohort passes `revisit`, the (rows, report) that first_revisit
+    yielded for this cell's lane, and the record is read from it.
+    Without it the cell steps as a cohort of one lane, on `net` when
+    given, which must be `build_network(grid, n, density, bits)`.
     """
-    if net is None:
-        net = build_network(grid, n, density, bits)
-    _, _, init_seed = cell_seeds(grid.master_seed, n, density, bits, seed_idx)
-    init = initial_state(net, init_seed)
-    rate, active, rank, cycle = _measure_run(
-        net, init, grid.horizon, default_window(grid.horizon)
+    if revisit is None:
+        if net is None:
+            net = build_network(grid, n, density, bits)
+        _, _, init_seed = cell_seeds(grid.master_seed, n, density, bits, seed_idx)
+        init = initial_state(net, init_seed)
+        _, *revisit = next(
+            first_revisit(net, init.v[None], init.s[None], grid.horizon)
+        )
+    rows, cycle = revisit
+    rate, active, rank = _measure_run(
+        rows, cycle, grid.horizon, default_window(grid.horizon)
     )
     return MetricsRecord(
         run_id=format_run_id(n, density, bits, seed_idx),
@@ -295,49 +313,113 @@ class CellError(RuntimeError):
     """A grid cell raised; the message names the cell's run_id."""
 
 
-def _run_cell_args(args) -> list[MetricsRecord]:
-    """The records of one network: every seed index of an `(n, density,
-    bits)` cell, run on that network built once."""
-    grid, n, density, bits, seed_idxs = args
-    run_id = format_run_id(n, density, bits, seed_idxs[0])
+@contextlib.contextmanager
+def _failures_name(cell):
+    """Raise what the block raises as a CellError naming `cell`, unless
+    it already names one."""
     try:
-        net = build_network(grid, n, density, bits)
-        records = []
-        for seed_idx in seed_idxs:
-            run_id = format_run_id(n, density, bits, seed_idx)
-            records.append(run_cell(grid, n, density, bits, seed_idx, net=net))
-        return records
+        yield
+    except CellError:
+        raise
     except Exception as exc:
         raise CellError(
-            f"cell {run_id} failed: {type(exc).__name__}: {exc}"
+            f"cell {format_run_id(*cell)} failed: {type(exc).__name__}: {exc}"
         ) from exc
+
+
+def _cohorts(grid: SweepGrid) -> list[list[tuple[int, float, int, int]]]:
+    """The grid's cells in cohorts: runs of up to LANES consecutive
+    cells that share n, each `(n, density, bits)` network in one
+    cohort, unless it has more than LANES seeds (then LANES a cohort)."""
+    out: list[list] = []
+    for _, group in itertools.groupby(grid.cells(), key=lambda c: c[:3]):
+        group = list(group)
+        for i in range(0, len(group), LANES):
+            part = group[i : i + LANES]
+            last = out[-1] if out else []
+            if last and last[0][0] == part[0][0] and len(last) + len(part) <= LANES:
+                last.extend(part)
+            else:
+                out.append(part)
+    return out
+
+
+def _cohort_scans(grid: SweepGrid, cells) -> list[tuple]:
+    """(network, cells, v, s) for each batch of a cohort to scan: one
+    LaneStack of its int64 networks, filled network by network, then
+    each object-mode network with its own seeds as lanes."""
+    stack = LaneStack(
+        cells[0][0], len(cells), grid.leak_k, grid.overflow_mode, grid.reset_mode
+    )
+    # (network, cells, initial states) of each object-mode network
+    batches, stacked, inits = [], [], []
+    for key, group in itertools.groupby(cells, key=lambda c: c[:3]):
+        group = list(group)
+        with _failures_name(group[0]):
+            net = build_network(grid, *key)
+            starts = [
+                initial_state(net, cell_seeds(grid.master_seed, *cell)[2])
+                for cell in group
+            ]
+        if net.state_dtype is object:
+            batches.append((net, group, starts))
+        else:
+            stack.put(len(stacked), len(group), net)
+            stacked += group
+            inits += starts
+    if stacked:
+        if len(stacked) < len(cells):
+            stack = stack.take_lanes(list(range(len(stacked))))
+        batches.insert(0, (stack, stacked, inits))
+    scans = []
+    for net, group, starts in batches:
+        v = np.stack([init.v for init in starts])
+        s = np.stack([init.s for init in starts])
+        scans.append((net, group, v, s))
+    return scans
+
+
+def _run_cohort(job) -> list[MetricsRecord]:
+    """The records of one cohort of cells that share n.
+
+    Each tick steps the cohort's live lanes in one kernel call. A lane's
+    record is made by `run_cell` when the lane retires, so a failure
+    there names the lane's run_id, a failed build names the network's
+    first cell, and a failure in the shared stepping names the cohort's
+    first cell.
+    """
+    grid, cells = job
+    records = []
+    with _failures_name(cells[0]):
+        for net, group, v, s in _cohort_scans(grid, cells):
+            for lane, rows, cycle in first_revisit(net, v, s, grid.horizon):
+                with _failures_name(group[lane]):
+                    records.append(run_cell(grid, *group[lane], revisit=(rows, cycle)))
+    return records
 
 
 def run_grid(grid: SweepGrid, workers: int | None = None) -> list[MetricsRecord]:
     """Every cell of the grid, sorted by run_id.
 
-    One job builds one `(n, density, bits)` network and runs all its
-    seed indices. Records are independent of worker count and
-    scheduling: each cell derives its own seeds from the master seed,
-    and aggregation sorts by run_id before returning. A cell that
-    raises, in this process or in a pool worker, is raised again as a
-    CellError naming its run_id (seed 0's if the build raised).
+    One job runs one cohort (see `_cohorts`), building each network
+    once. Records are independent of worker count and scheduling: each
+    cell derives its own seeds from the master seed, lanes step
+    independently, and aggregation sorts by run_id before returning. A
+    cell that raises, in this process or in a pool worker, is raised
+    again as a CellError naming its run_id (see `_run_cohort`).
     `workers` must be at least 1; the pool never has more processes
     than there are jobs.
     """
     grid.validate()
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [
-        (grid, *key, [cell[3] for cell in cells])
-        for key, cells in itertools.groupby(grid.cells(), key=lambda c: c[:3])
-    ]
+    jobs = [(grid, cells) for cells in _cohorts(grid)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         chunk = max(1, len(jobs) // (workers * 8))
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            groups = pool.map(_run_cell_args, jobs, chunksize=chunk)
+            groups = pool.map(_run_cohort, jobs, chunksize=chunk)
     else:
-        groups = [_run_cell_args(job) for job in jobs]
+        groups = [_run_cohort(job) for job in jobs]
     records = [record for group in groups for record in group]
     records.sort(key=lambda r: r.run_id)
     return records

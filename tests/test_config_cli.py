@@ -288,6 +288,39 @@ def test_cli_flag_parses_as_the_config_file_does(tmp_path, values):
         assert flag_bytes == (tmp_path / "file" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "command, spelled, plain",
+    [
+        (["simulate", "--n", "6", "--bits", "3", "--horizon", "40"],
+         ["--seed", "0x1", "--embed-neuron", "0b10", "--tau", "0o3"],
+         ["--seed", "1", "--embed-neuron", "2", "--tau", "3"]),
+        (["focused", "--n", "6", "--bits", "2,3", "--horizon", "40"],
+         ["--seeds", "0x3"], ["--seeds", "3"]),
+        (["oracle", "--n", "2", "--bits", "3"],
+         ["--budget", "0x40"], ["--budget", "64"]),
+        (["report"], ["--count", "0b11"], ["--count", "3"]),
+    ],
+)
+def test_cli_integer_flags_take_the_config_file_forms(
+    tmp_path, capsys, command, spelled, plain
+):
+    # These flags name no config key, but parse integers as a file does.
+    if command == ["report"]:
+        src = tmp_path / "src"
+        cfg = write_small_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(src)]) == 0
+        command = ["report", "--records", str(src / "records.csv")]
+        capsys.readouterr()
+    outputs = []
+    for name, flags in (("spelled", spelled), ("plain", plain)):
+        out = tmp_path / name
+        assert main([*command, *flags, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((printed, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
+
+
 @pytest.mark.parametrize("source", ["flag", "config", "env"])
 def test_cli_workers_parse_alike_from_every_source(tmp_path, monkeypatch, source):
     cfg = write_small_config(tmp_path)
@@ -318,11 +351,26 @@ def test_cli_workers_parse_alike_from_every_source(tmp_path, monkeypatch, source
     [
         (("sweep", "--signedness", "bogus"),
          "argument --signedness: invalid choice: 'bogus'"),
-        # a zero-padded integer is refused here as it is in a config file
-        (("sweep", "--master-seed", "0100"), "argument --master-seed: invalid"),
-        (("sweep", "--horizon", "soon"), "argument --horizon: invalid"),
+        # a zero-padded integer is refused here as it is in a config
+        # file, and in the file's words
+        (("sweep", "--master-seed", "0100"),
+         "argument --master-seed: bad value for master_seed: "
+         "invalid literal for int() with base 0: '0100'"),
+        (("sweep", "--horizon", "soon"),
+         "argument --horizon: bad value for horizon: "
+         "invalid literal for int() with base 0: 'soon'"),
         (("oracle", "--n", "1", "--bits", "2", "--horizon", "5"),
          "unrecognized arguments: --horizon 5"),
+        # flags that are not config keys parse and fail alike
+        (("simulate", "--seed", "0100"),
+         "argument --seed: bad value for seed: "
+         "invalid literal for int() with base 0: '0100'"),
+        (("focused", "--density", "half"),
+         "argument --density: bad value for density: "
+         "could not convert string to float: 'half'"),
+        (("report", "--records", "r.csv", "--count", "3.0"),
+         "argument --count: bad value for count: "
+         "invalid literal for int() with base 0: '3.0'"),
     ],
 )
 def test_cli_refuses_bad_flags_when_parsing(tmp_path, capsys, args, message):

@@ -5,6 +5,7 @@ import pytest
 
 from intsnn.arith import SATURATE, SIGNED, UNSIGNED, WRAP, IntegerDomain, clamp
 from intsnn.network import (
+    LaneStack,
     RESET_NONE,
     RESET_SUBTRACT,
     Network,
@@ -244,11 +245,13 @@ def test_step_matches_reference_across_modes():
                         state = step(state, net)
                         assert [int(x) for x in state.v] == ref_v
                         assert [int(x) for x in state.s] == ref_s
-                    # a (B, n) batch steps every row as a single state would
+                    # a (B, n) batch steps every row as a single state
+                    # would; with 128 or more entries it sums in float32
                     starts = [
                         initial_state(net, seed=derive_seed(34, case, b))
-                        for b in range(5)
+                        for b in range(64)
                     ]
+                    assert (net._wt_float is None) == (bits == 64)
                     batch_v = np.stack([st.v for st in starts])
                     batch_s = np.stack([st.s for st in starts])
                     for _ in range(4):
@@ -256,11 +259,59 @@ def test_step_matches_reference_across_modes():
                             net.step_arrays(v, s) for v, s in zip(batch_v, batch_s)
                         ]
                         batch_v, batch_s = net.step_arrays(batch_v, batch_s)
-                        assert batch_v.shape == batch_s.shape == (5, n)
+                        assert batch_v.shape == batch_s.shape == (64, n)
                         assert batch_v.dtype == net.state_dtype
                         for (v, s), bv, bs in zip(rows, batch_v, batch_s):
                             assert [int(x) for x in bv] == [int(x) for x in v]
                             assert [int(x) for x in bs] == [int(x) for x in s]
+
+
+@pytest.mark.parametrize("overflow", [SATURATE, WRAP])
+@pytest.mark.parametrize("reset", [RESET_NONE, RESET_SUBTRACT])
+def test_lane_stack_steps_each_lane_by_its_network(overflow, reset):
+    # Weight scales whose row sums need float32, float64 and int64; the
+    # stack takes the widest its lanes need and stays exact.
+    nets = [
+        Network(
+            n=4,
+            weights=generate_topology(4, 0.9, -scale, scale, seed=derive_seed(41, i)),
+            thresholds=sample_thresholds(4, 1, 9, seed=derive_seed(42, i)),
+            leak_k=2,
+            domain=IntegerDomain(bits, SIGNED, overflow),
+            reset_mode=reset,
+        )
+        for i, (scale, bits) in enumerate(
+            [(4, 3), (1 << 30, 12), (4, 16), (1 << 58, 5), (9, 1)]
+        )
+    ]
+    assert [None if n._wt_float is None else n._wt_float.dtype for n in nets] == [
+        np.float32, np.float64, np.float32, None, np.float32
+    ]
+    stack = LaneStack(4, 7, 2, overflow, reset)
+    lanes = [0, 1, 1, 2, 3, 4, 4]
+    for start, i in enumerate(lanes):
+        stack.put(start, 1, nets[i])
+    assert stack._wt_exec.dtype == np.int64
+    assert stack.key_dtype == np.int16
+    starts = [initial_state(nets[i], seed=derive_seed(43, b)) for b, i in enumerate(lanes)]
+    v = np.stack([st.v for st in starts])
+    s = np.stack([st.s for st in starts])
+    for tick in range(6):
+        want = [nets[i].step_arrays(v[b], s[b]) for b, i in enumerate(lanes)]
+        v, s = stack.step_arrays(v, s)
+        assert [r.tolist() for r in v] == [w[0].tolist() for w in want]
+        assert [r.tolist() for r in s] == [w[1].tolist() for w in want]
+        if tick == 2:  # drop lanes as a scan retires them
+            keep = [6, 0, 3]
+            stack, v, s, lanes = (
+                stack.take_lanes(keep), v[keep], s[keep], [lanes[k] for k in keep]
+            )
+            assert stack.key_dtype == np.int16
+    wide = Network(n=4, weights=np.zeros((4, 4), dtype=np.int64),
+                   thresholds=np.ones(4, dtype=np.int64), leak_k=2,
+                   domain=IntegerDomain(64, SIGNED, overflow), reset_mode=reset)
+    with pytest.raises(ValueError, match="object-mode"):
+        stack.put(0, 1, wide)
 
 
 @pytest.mark.parametrize("reset", [RESET_NONE, RESET_SUBTRACT])
@@ -367,11 +418,15 @@ def test_state_key_distinguishes_states():
             leak_k=1,
             domain=IntegerDomain(bits),
         )
-        dtype = net.state_dtype
-        a = net.state_key(np.array([1, 2], dtype=dtype), np.array([0, 0]))
-        b = net.state_key(np.array([2, 1], dtype=dtype), np.array([0, 0]))
-        c = net.state_key(np.array([1, 2], dtype=dtype), np.array([0, 1]))
-        assert len({a, b, c}) == 3
+        top = net.domain.max_value
+        v = np.array([[1, 2], [2, 1], [1, 2], [top, 1], [top - 1, 1]],
+                     dtype=net.state_dtype)
+        s = np.array([[0, 0], [0, 0], [0, 1], [0, 0], [0, 0]])
+        keys = net.state_keys(v, s)
+        assert len(set(keys)) == 5
+        # v in the narrowest dtype of the domain, then one byte of spikes
+        assert {len(k) for k in keys} == {2 * bits // 8 + 1}
+        assert net.state_keys(v[:1], s[:1]) == keys[:1]
 
 
 def test_json_round_trip():

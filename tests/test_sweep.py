@@ -1,5 +1,6 @@
 """Grid orchestration: seed tree, cell isolation, fused measurement."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -14,6 +15,7 @@ from intsnn.dynamics import (
     decode_state,
     detect_cycle,
     enumerate_state_graph,
+    first_revisit,
     simulate,
 )
 from intsnn.metrics import (
@@ -23,7 +25,7 @@ from intsnn.metrics import (
     pseudo_rank,
 )
 from intsnn import sweep
-from intsnn.network import Network, NetworkState, initial_state, network_to_json
+from intsnn.network import Network, NetworkState, initial_state
 from intsnn.sweep import (
     DEFAULT_MASTER_SEED,
     CellError,
@@ -79,6 +81,12 @@ def naive_measurements(grid, n, density, bits, seed_idx):
         pseudo_rank(traj.raster, window) if window else 0,
         cycle,
     )
+
+
+def measure(net, init, horizon, window):
+    """_measure_run's metrics and the cycle report of one state's lane."""
+    (_, rows, cycle), = first_revisit(net, init.v[None], init.s[None], horizon)
+    return (*_measure_run(rows, cycle, horizon, window), cycle)
 
 
 def test_default_grid_arithmetic():
@@ -175,14 +183,30 @@ def test_leak_shift_of_64_or_more_acts_as_64(bits, signedness, dtype):
 def test_run_grid_names_the_failing_cell(monkeypatch, workers):
     real_run_cell = sweep.run_cell
 
-    def run_cell(grid, n, density, bits, seed_idx, *, net=None):
+    def run_cell(grid, n, density, bits, seed_idx, **kwargs):
         if (n, bits, seed_idx) == (5, 4, 1):
             raise ZeroDivisionError("planted failure")
-        return real_run_cell(grid, n, density, bits, seed_idx, net=net)
+        return real_run_cell(grid, n, density, bits, seed_idx, **kwargs)
 
-    # Pool workers are forked, so they see the patched module too.
+    # Pool workers are forked, so they see the patched module too. The
+    # failing lane is the last of its cohort's four and names itself.
     monkeypatch.setattr(sweep, "run_cell", run_cell)
     message = r"cell N005-d0\.5-b04-s1 failed: ZeroDivisionError: planted failure"
+    with pytest.raises(CellError, match=message):
+        run_grid(tiny_grid(), workers=workers)
+    monkeypatch.undo()
+
+    # A failure in the stepping that the lanes share names the cohort's
+    # first cell.
+    real_step = Network.step_arrays
+
+    def step_arrays(self, v, s):
+        if self.n == 5:
+            raise FloatingPointError("planted step failure")
+        return real_step(self, v, s)
+
+    monkeypatch.setattr(Network, "step_arrays", step_arrays)
+    message = r"cell N005-d0\.5-b02-s0 failed: FloatingPointError: planted step failure"
     with pytest.raises(CellError, match=message):
         run_grid(tiny_grid(), workers=workers)
 
@@ -220,19 +244,18 @@ def test_run_grid_builds_each_network_once(monkeypatch):
     assert records == alone
     assert run_grid(grid, workers=2) == alone
 
-    # A one-seed cell is a job too: it builds first and passes the net on.
+    # One-seed cells share cohorts too: run_cell reads each record from
+    # the lane its cohort stepped, and neither builds nor steps.
     lone = tiny_grid(seeds_per_cell=1)
     real_run_cell = sweep.run_cell
 
-    def run_cell_given_net(grid, n, density, bits, seed_idx, *, net=None):
-        assert net is not None, "run_cell was left to build"
-        fresh = real_build(grid, n, density, bits)
-        assert network_to_json(net) == network_to_json(fresh)
-        return real_run_cell(grid, n, density, bits, seed_idx, net=net)
+    def run_cell_given_revisit(grid, n, density, bits, seed_idx, *, revisit=None):
+        assert revisit is not None, "run_cell was left to step"
+        return real_run_cell(grid, n, density, bits, seed_idx, revisit=revisit)
 
     # Pool workers are forked, so they see the patched module too, and
     # a failed assertion there comes back as a CellError.
-    monkeypatch.setattr(sweep, "run_cell", run_cell_given_net)
+    monkeypatch.setattr(sweep, "run_cell", run_cell_given_revisit)
     for workers in (1, 2):
         records = run_grid(lone, workers=workers)
         assert records == [
@@ -272,7 +295,7 @@ def test_run_grid_caps_the_pool_at_the_job_count(monkeypatch):
     monkeypatch.setattr(sweep.multiprocessing, "Pool", SerialPool)
     grid = tiny_grid()
     records = run_grid(grid, workers=10**6)
-    assert sizes == [4]  # 2 sizes x 2 bit widths, 2 seeds each
+    assert sizes == [2]  # one cohort per size: 2 bit widths x 2 seeds
     monkeypatch.undo()
     assert records == run_grid(grid)
 
@@ -384,6 +407,86 @@ def test_run_cell_matches_naive_pipeline():
                 assert record.cycle == cycle
 
 
+def test_cohorts_pack_whole_networks_of_one_size():
+    def shape(grid):
+        cohorts = sweep._cohorts(grid)
+        assert [c for cohort in cohorts for c in cohort] == grid.cells()
+        for cohort in cohorts:
+            assert len({c[0] for c in cohort}) == 1
+        return [len(cohort) for cohort in cohorts]
+
+    assert sweep.LANES == 8
+    assert shape(tiny_grid(seeds_per_cell=3)) == [6, 6]
+    # the focused sweep: one network of 5 seeds a cohort
+    assert shape(focused_grid(SweepGrid(), list(range(1, 17)))) == [5] * 16
+    # one seed a cell: 8 bit widths a cohort, never across sizes
+    assert shape(tiny_grid(sizes=[3, 5], bit_widths=list(range(1, 13)),
+                           seeds_per_cell=1)) == [8, 4, 8, 4]
+    # a network with more than 8 seeds takes 8 lanes a cohort
+    assert shape(tiny_grid(sizes=[3], seeds_per_cell=9)) == [8, 1, 8, 1]
+
+
+def test_cohort_records_match_naive_pipeline_and_lone_cells():
+    # Every mode, bit widths 1..16 with 63 and 64 (object mode), n = 1,
+    # 3 seeds a network, horizons 1, 2, 7 and 1000: cohorts of 6 lanes
+    # that mix bit widths, and a last one (bits 63 and 64) that can mix
+    # stacked and object-mode networks.
+    modes = itertools.product(
+        ("unsigned", "signed"), ("saturate", "wrap"), ("none", "subtract_threshold")
+    )
+    t2s, mixed = set(), 0
+    for case, (signedness, overflow, reset) in enumerate(modes):
+        grid = SweepGrid(
+            sizes=[1, 6],
+            densities=[0.6],
+            bit_widths=[*range(1, 17), 63, 64],
+            horizon=(1, 2, 7, 1000)[case % 4],
+            seeds_per_cell=3,
+            master_seed=40 + case,
+            threshold_range=(1, 6),
+            signedness=signedness,
+            overflow_mode=overflow,
+            reset_mode=reset,
+        )
+        records = run_grid(grid, workers=1)
+        assert len(records) == 108
+        assert run_grid(grid, workers=2) == records
+        for r in records:
+            assert r == run_cell(grid, r.n, r.density, r.bits, r.seed), r.run_id
+            rate, active, rank, cycle = naive_measurements(
+                grid, r.n, r.density, r.bits, r.seed
+            )
+            assert (r.mean_firing_rate, r.active_fraction, r.pseudo_rank) == (
+                rate, active, rank
+            ), r.run_id
+            assert r.cycle == cycle, r.run_id
+            t2s.add(r.cycle.transient + r.cycle.period if cycle.period else None)
+        dtypes = [build_network(grid, 6, 0.6, bits).state_dtype for bits in (63, 64)]
+        mixed += dtypes == [np.int64, object]
+    # lanes retired at step 1 and at the horizon, censored lanes, and a
+    # cohort of a lane stack and an object-mode network
+    assert {1, 2, 7, None} <= t2s
+    assert max(t for t in t2s if t) > 50
+    assert mixed
+
+
+def test_cohort_job_memory_is_bounded():
+    # One full cohort at n = 74, bits 9..16, with 4 of its 8 lanes
+    # censored at horizon 1000: its traced peak measured 1.63 MB.
+    grid = SweepGrid(sizes=[74], densities=[0.9], bit_widths=list(range(9, 17)),
+                     master_seed=13)
+    (cells,) = sweep._cohorts(grid)
+    tracemalloc.start()
+    try:
+        records = sweep._run_cohort((grid, cells))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == sweep.LANES
+    assert sum(r.cycle.status == CENSORED for r in records) == 4
+    assert peak < 2 * 2**20
+
+
 def test_measure_run_from_cycle_entry():
     # start on a fixed point: revisit at t=1, so mu == 0 everywhere
     net = Network(
@@ -395,7 +498,7 @@ def test_measure_run_from_cycle_entry():
     )
     v = np.array([7, 7])
     init = NetworkState(v=v, s=net.spikes_of(v))
-    rate, active, rank, cycle = _measure_run(net, init, horizon=10, window=5)
+    rate, active, rank, cycle = measure(net, init, horizon=10, window=5)
     assert (rate, active, rank) == (1.0, 1.0, 1)
     assert (cycle.transient, cycle.period) == (0, 1)
 
@@ -410,7 +513,7 @@ def test_measure_run_from_cycle_entry():
     )
     for v0, expected in (([3, 4], (0, 2)), ([3, 6], (1, 2))):
         start = NetworkState(v=np.array(v0), s=pair.spikes_of(np.array(v0)))
-        got = _measure_run(pair, start, horizon=9, window=4)
+        got = measure(pair, start, horizon=9, window=4)
         traj = simulate(pair, start, 9)
         assert got[0] == firing_rate(traj.raster)
         assert got[1] == active_fraction(traj.raster)
@@ -448,7 +551,7 @@ def test_measure_run_from_cycle_entry():
         (51, 40, DETECTED, 5),  # ... across several laps of the cycle
     )
     for horizon, window, status, rank in cases:
-        got = _measure_run(net, start, horizon=horizon, window=window)
+        got = measure(net, start, horizon=horizon, window=window)
         traj = simulate(net, start, horizon)
         assert got[0] == firing_rate(traj.raster)
         assert got[1] == active_fraction(traj.raster)
@@ -469,7 +572,7 @@ def test_measure_run_from_cycle_entry():
         total += sum(counts[mu : mu + rest])
         short = mu + window + (horizon - mu - window) % period
         traj = simulate(net, start, short)
-        got = _measure_run(net, start, horizon=horizon, window=window)
+        got = measure(net, start, horizon=horizon, window=window)
         assert got[0] == total / (horizon * net.n)
         assert got[1] == active_fraction(traj.raster)
         assert got[2] == pseudo_rank(traj.raster, window=window)
