@@ -123,11 +123,7 @@ def cmd_simulate(args) -> int:
     n, density, bits = args.n, args.density, args.bits_value
     if config.figures:
         # Checked before simulating, so a bad figure flag writes nothing.
-        trace_ids = (
-            parse_int_list(args.trace_neurons)
-            if args.trace_neurons
-            else list(range(min(3, n)))
-        )
+        trace_ids = args.trace_neurons or list(range(min(3, n)))
         for i in trace_ids:
             if not 0 <= i < n:
                 raise ValueError(f"trace neuron {i} outside 0..{n - 1}")
@@ -221,8 +217,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_focused(args) -> int:
     config = load_config(args.config, _grid_overrides(args))
-    bit_widths = parse_int_list(args.bit_widths) if args.bit_widths else None
-    grid = focused_grid(config.grid, bit_widths, args.n, args.density, args.seeds)
+    grid = focused_grid(config.grid, args.bit_widths, args.n, args.density, args.seeds)
     workers = _workers(config)
     out = _ensure_dir(args.out or config.output_dir)
     summaries = _run_and_write(grid, out, workers, config.figures, "focused")
@@ -329,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_typed("seed", parse_int), default=0,
                      help="initial-condition stream index")
     sim.add_argument("--trace-neurons", dest="trace_neurons", default=None,
+                     type=_typed("trace_neurons", parse_int_list),
                      help="comma list of neurons for the trace figure")
     sim.add_argument("--embed-neuron", dest="embed_neuron",
                      type=_typed("embed_neuron", parse_int), default=0)
@@ -353,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     foc.add_argument("--density", type=_typed("density", parse_float),
                      default=FOCUSED_DENSITY)
     foc.add_argument("--bits", dest="bit_widths", default=None,
+                     type=_typed("bits", parse_int_list),
                      help="bit widths, e.g. 1..16 or 4,8,16")
     foc.add_argument("--seeds", type=_typed("seeds", parse_int), default=FOCUSED_SEEDS)
     foc.add_argument("--figures", action=argparse.BooleanOptionalAction,

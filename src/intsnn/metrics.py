@@ -94,11 +94,12 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
 
     Duplicate rows (one pass over the window's bytes), the zero row and
     all-zero columns are discarded first; none changes the rank. What
-    is left is eliminated modulo a prime, and a kernel certificate
-    proves that rank exact; when it fails, fraction-free (Bareiss)
-    elimination gives the rank instead. There is no floating-point
-    tolerance anywhere; a raster holding anything but integers in int64
-    range is refused. `window` defaults to min(500, T // 2).
+    is left (compressed to a square first when it is tall) is
+    eliminated modulo a prime, and a kernel certificate proves that
+    rank exact; when it fails, fraction-free (Bareiss) elimination
+    gives the rank instead. There is no floating-point tolerance
+    anywhere; a raster holding anything but integers in int64 range is
+    refused. `window` defaults to min(500, T // 2).
     """
     r = np.asarray(raster)
     if r.ndim != 2 or r.size == 0:
@@ -137,26 +138,97 @@ _P = 2**31 - 1
 # Rows per block in the elimination and the kernel check. Small blocks
 # keep the temporaries, and the heap the allocator retains, small.
 _BLOCK = 64
+# A tall window is compressed by a cols x rows matrix with entries in
+# 1..2^_MIX_BITS, drawn by a fixed integer hash keyed by _MIX_KEY.
+_MIX_BITS = 22
+_MIX_KEY = 0x5851F42D4C957F2D
 
 
 def _modular_rank(mat: np.ndarray) -> int:
     """Rank over the rationals of an integer matrix, certified.
 
-    Elimination mod _P gives r = rank mod _P, and the rank over Q is at
-    least r, since a minor that is nonzero mod _P is nonzero. So r is
-    exact when it equals min(rows, cols). Otherwise each free column's
-    kernel vector is read from the reduced echelon form as integers and
-    checked exactly against `mat`; cols - r independent kernel vectors
-    prove the rank over Q is at most r. When the check fails, Bareiss
-    elimination decides.
+    A tall matrix A (rows m > cols c) is first compressed: B = R·A, with
+    R a fixed c x m integer matrix (`_mixer`), is formed exactly in
+    int64 when max|A| * m * 2^22 < 2^63, and the c x c matrix B is
+    eliminated in place of A. Since rank_p(RA) <= rank_p(A) <=
+    rank_Q(A) <= c, a rank c of B mod _P is the rank over Q. A lower
+    rank r is proved by the kernel check below, made against A and
+    never against B; if it fails (R lost rank, or the kernel is not
+    integral), the uncompressed path runs on A. So R changes the speed,
+    never the answer.
+
+    Uncompressed, elimination mod _P gives r = rank mod _P, and the
+    rank over Q is at least r, since a minor that is nonzero mod _P is
+    nonzero. So r is exact when it equals min(rows, cols). Otherwise
+    each free column's kernel vector is read from the reduced echelon
+    form as integers and checked exactly against `mat`; cols - r
+    independent kernel vectors prove the rank over Q is at most r.
+    When the check fails, Bareiss elimination decides.
     """
+    rank = _compressed_rank(mat)
+    if rank is None:
+        rank = _certified_rank(mat.astype(np.int64), mat)
+    if rank is None:
+        rank = _fraction_free_rank(mat.tolist())
+    return rank
+
+
+def _compressed_rank(mat: np.ndarray) -> int | None:
+    """Certified rank of a tall `mat` from its compression R·mat, or
+    None when `mat` is not tall, the product could leave int64, or the
+    compressed rank is not certified."""
     rows, cols = mat.shape
-    work = mat.astype(np.int64)
+    if not 0 < cols < rows:
+        return None
+    largest = max(int(mat.max()), -int(mat.min()))
+    if largest * rows * 2**_MIX_BITS >= 2**63:
+        return None
+    return _certified_rank(_mixer(cols, rows) @ mat.astype(np.int64), mat)
+
+
+def _mixer(rows: int, cols: int) -> np.ndarray:
+    """int64 matrix of the given shape with entries in 1..2^_MIX_BITS:
+    the top bits of a multiply, xor-shift, multiply hash of each
+    entry's flat index plus _MIX_KEY."""
+    z = np.arange(rows * cols, dtype=np.uint64)
+    z += np.uint64(_MIX_KEY)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(29)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z >>= np.uint64(64 - _MIX_BITS)
+    z += np.uint64(1)
+    return z.view(np.int64).reshape(rows, cols)
+
+
+def _certified_rank(work: np.ndarray, mat: np.ndarray) -> int | None:
+    """Rank over Q of `mat` read from the int64 matrix `work`, which is
+    `mat` or a compression R·mat of it with as many columns; None when
+    the rank mod _P is not proved. `work` is overwritten."""
     work %= _P
+    pivots = _echelon(work)
+    rank = len(pivots)
+    if rank == min(mat.shape):
+        return rank
+    # Reduce the echelon block alone; the rows below it are zero.
+    echelon = work[:rank]
+    for i in range(rank - 1, 0, -1):
+        col = pivots[i]
+        above = echelon[:i, col].nonzero()[0]
+        _eliminate(echelon, above, col, echelon[i, col:])
+    if _annihilates(mat, _kernel_basis(echelon, pivots)):
+        return rank
+    return None
+
+
+def _echelon(work: np.ndarray) -> list[int]:
+    """Forward elimination mod _P of the residue matrix `work`, in
+    place, to row echelon form with pivots 1; returns the pivot
+    columns."""
+    rows, cols = work.shape
     pivots = []
     for col in range(cols):
         top = len(pivots)
-        below = np.flatnonzero(work[top:, col]) + top
+        below = work[top:, col].nonzero()[0] + top
         if below.size == 0:
             continue
         if below[0] != top:
@@ -168,18 +240,7 @@ def _modular_rank(mat: np.ndarray) -> int:
         pivots.append(col)
         if len(pivots) == rows:
             break
-    rank = len(pivots)
-    if rank == min(rows, cols):
-        return rank
-    # Reduce the echelon block alone; the rows below it are zero.
-    echelon = work[:rank]
-    for i in range(rank - 1, 0, -1):
-        col = pivots[i]
-        above = np.flatnonzero(echelon[:i, col])
-        _eliminate(echelon, above, col, echelon[i, col:])
-    if not _annihilates(mat, _kernel_basis(echelon, pivots)):
-        return _fraction_free_rank(mat.tolist())
-    return rank
+    return pivots
 
 
 def _eliminate(work: np.ndarray, targets, col: int, prow: np.ndarray) -> None:

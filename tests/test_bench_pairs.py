@@ -2,6 +2,8 @@
 the plan parser, on hand-made runs (no git, no benchmark runs)."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,37 @@ def test_parse_plan_refuses_a_bad_spec(spec):
     assert bench_pairs.parse_plan(["focused=7919,1"]) == [("focused", [7919, 1])]
     with pytest.raises(SystemExit, match="bad plan"):
         bench_pairs.parse_plan([spec])
+
+
+@pytest.mark.parametrize(
+    "info, last",
+    [("{}", ""), ("{}", "not json"), ("{}", "{}"), ("{}", "42"),
+     ("{}", "[1, 2]"), ("{}", '{"correct": true}'),
+     ("{}", '{"correct": true, "metrics": {"runs_per_s": 5}}'),
+     ("{", '{"correct": true, "metrics": {}}')],
+)
+def test_run_once_counts_a_malformed_result_as_a_failed_run(
+    monkeypatch, tmp_path, info, last
+):
+    stdout = f"info {info}\n{last}\n"
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="boom")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_once(tmp_path, ["bench"], "grid", 1, 1.0)
+    assert run["correct"] is False
+    assert (run["units"], run["metrics"]) == (None, {})
+    assert run["error"] == "exit 0: boom"
+
+
+def test_run_once_reads_a_well_formed_result(monkeypatch, tmp_path):
+    result = {"correct": True, "metrics": {"runs_per_s": {"value": 5.0}}}
+    stdout = 'info {"units": 3}\n' + json.dumps(result) + "\n"
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0, stdout, ""),
+    )
+    run = bench_pairs.run_once(tmp_path, ["bench"], "grid", 1, 1.0)
+    assert run["correct"] is True
+    assert (run["units"], run["metrics"]) == (3, {"runs_per_s": 5.0})

@@ -371,6 +371,13 @@ def test_cli_workers_parse_alike_from_every_source(tmp_path, monkeypatch, source
         (("report", "--records", "r.csv", "--count", "3.0"),
          "argument --count: bad value for count: "
          "invalid literal for int() with base 0: '3.0'"),
+        # list flags name their key too
+        (("focused", "--bits", "abc"),
+         "argument --bits: bad value for bits: "
+         "invalid literal for int() with base 0: 'abc'"),
+        (("simulate", "--trace-neurons", "x"),
+         "argument --trace-neurons: bad value for trace_neurons: "
+         "invalid literal for int() with base 0: 'x'"),
     ],
 )
 def test_cli_refuses_bad_flags_when_parsing(tmp_path, capsys, args, message):

@@ -116,14 +116,22 @@ def test_pseudo_rank_matches_fraction_elimination():
 
 @pytest.fixture
 def rank_paths(monkeypatch):
-    """Counts, while the test runs, of kernel checks that passed and of
-    Bareiss fallbacks."""
-    counts = {"certified": 0, "fallback": 0}
+    """Counts, while the test runs, of ranks decided on the compressed
+    square R·A, of kernel checks run and passed, and of Bareiss
+    fallbacks."""
+    counts = {"compressed": 0, "checked": 0, "certified": 0, "fallback": 0}
+    compressed_rank = metrics._compressed_rank
     annihilates = metrics._annihilates
     fraction_free_rank = metrics._fraction_free_rank
 
+    def compressed(mat):
+        rank = compressed_rank(mat)
+        counts["compressed"] += rank is not None
+        return rank
+
     def check(mat, basis):
         passed = annihilates(mat, basis)
+        counts["checked"] += 1
         counts["certified"] += passed
         return passed
 
@@ -131,6 +139,7 @@ def rank_paths(monkeypatch):
         counts["fallback"] += 1
         return fraction_free_rank(work)
 
+    monkeypatch.setattr(metrics, "_compressed_rank", compressed)
     monkeypatch.setattr(metrics, "_annihilates", check)
     monkeypatch.setattr(metrics, "_fraction_free_rank", fallback)
     return counts
@@ -155,22 +164,156 @@ def planted_matrix(rng, rows, cols):
 
 
 def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
+    """Each planted window is ranked as it is, where a tall one is
+    compressed, and scaled by 2^41, which the exactness guard keeps on
+    the uncompressed path with the same rank and kernel."""
     rng = np.random.default_rng(2024)
-    shortcut = 0
+    decided = {}
+    fallbacks = {}
     for case in range(60):
         rows = int(rng.integers(1, 201 if case % 4 == 0 else 41))
         cols = int(rng.integers(1, 61 if case % 4 == 0 else 21))
         mat = planted_matrix(rng, rows, cols)
-        before = dict(rank_paths)
-        assert pseudo_rank(mat, window=rows) == fraction_rank(mat)
-        shortcut += rank_paths == before
-    # Both the full-rank shortcut and the kernel certificate decided
-    # many cases. A dense near-square matrix can have a kernel vector
-    # with rational entries, which the integer check refuses; it falls
-    # back by design.
-    assert shortcut >= 10
-    assert rank_paths["certified"] >= 20
-    assert rank_paths["fallback"] <= 3
+        rank = fraction_rank(mat)
+        for scale in (1, 2**41):
+            before = dict(rank_paths)
+            assert pseudo_rank(mat * scale, window=rows) == rank
+            step = {k: rank_paths[k] - before[k] for k in rank_paths}
+            if step["fallback"]:
+                fallbacks[scale] = fallbacks.get(scale, 0) + 1
+                continue
+            key = ("compressed" if step["compressed"] else "plain",
+                   "certified" if step["certified"] else "shortcut")
+            decided[key] = decided.get(key, 0) + 1
+            assert not (scale > 1 and step["compressed"])
+    # The shortcut and the kernel certificate each decided many cases,
+    # compressed or not. A dense near-square matrix can have a kernel
+    # vector with rational entries, which the integer check refuses; it
+    # falls back by design.
+    for where in ("compressed", "plain"):
+        assert decided.get((where, "shortcut"), 0) >= 10
+        assert decided.get((where, "certified"), 0) >= 20
+    assert all(count <= 3 for count in fallbacks.values())
+
+
+def tall_planted(rng, rows, cols):
+    """Random tall 0/1 matrix with some columns set to the sum of two
+    others, so its kernel holds small integer vectors."""
+    mat = (rng.random((rows, cols)) < 0.4).astype(np.int64)
+    for _ in range(int(rng.integers(1, cols // 3 + 2))):
+        a, b, c = rng.choice(cols, size=3, replace=False)
+        mat[:, c] = mat[:, a] + mat[:, b]
+    return mat
+
+
+def test_tall_full_column_rank_returns_without_a_kernel_check(rank_paths):
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        rows, cols = int(rng.integers(40, 121)), int(rng.integers(2, 25))
+        mat = rng.integers(0, 2, size=(rows, cols))
+        assert metrics._modular_rank(mat) == cols == fraction_rank(mat)
+    assert rank_paths == {"compressed": 30, "checked": 0, "certified": 0,
+                          "fallback": 0}
+
+
+def test_tall_rank_deficient_windows_are_certified_against_the_window(
+    rank_paths, monkeypatch
+):
+    checked_shapes = []
+    check = metrics._annihilates
+
+    def record(mat, basis):
+        checked_shapes.append(mat.shape)
+        return check(mat, basis)
+
+    monkeypatch.setattr(metrics, "_annihilates", record)
+    rng = np.random.default_rng(32)
+    shapes = []
+    for _ in range(30):
+        rows, cols = int(rng.integers(30, 121)), int(rng.integers(3, 25))
+        mat = tall_planted(rng, rows, cols)
+        rank = fraction_rank(mat)
+        assert rank < cols
+        assert metrics._modular_rank(mat) == rank
+        shapes.append(mat.shape)
+    # One check per window, made against the tall window A itself and
+    # never against its c x c compression B.
+    assert checked_shapes == shapes
+    assert rank_paths == {"compressed": 30, "checked": 30, "certified": 30,
+                          "fallback": 0}
+
+
+def test_lossy_compression_falls_back_to_the_window(rank_paths, monkeypatch):
+    # R of all ones has rank 1, so R·A does too; the kernel read from it
+    # is no kernel of A, the check against A fails, and A is eliminated.
+    monkeypatch.setattr(
+        metrics, "_mixer", lambda rows, cols: np.ones((rows, cols), np.int64)
+    )
+    rng = np.random.default_rng(33)
+    for case in range(20):
+        rows, cols = int(rng.integers(20, 81)), int(rng.integers(2, 16))
+        if case % 2:
+            mat = tall_planted(rng, rows, cols + 4)
+        else:
+            mat = rng.integers(0, 2, size=(rows, cols))
+        rank = fraction_rank(mat)
+        assert rank >= 2
+        assert pseudo_rank(mat, window=rows) == rank
+    assert rank_paths["compressed"] == 0
+    assert rank_paths["fallback"] == 0
+    # Each window failed its compressed check; the deficient ones then
+    # passed their own.
+    assert rank_paths["checked"] == 20 + rank_paths["certified"]
+    assert rank_paths["certified"] >= 10
+
+
+def test_exactness_guard_keeps_wide_entries_off_the_compressed_path(
+    rank_paths, monkeypatch
+):
+    mixed = []
+    mixer = metrics._mixer
+
+    def record(rows, cols):
+        mixed.append(cols)
+        return mixer(rows, cols)
+
+    monkeypatch.setattr(metrics, "_mixer", record)
+    rng = np.random.default_rng(34)
+    for big in (1 << 40, 1 << 60):
+        mat = rng.integers(-big, big, size=(7, 3))
+        assert pseudo_rank(mat, window=7) == fraction_rank(mat)
+    assert mixed == []
+    # max|A| * m * 2^22 must stay below 2^63: with 8 rows, entries up to
+    # 2^38 - 1 are compressed and an entry of -2^38 is not.
+    mat = rng.integers(-(1 << 37), 1 << 37, size=(8, 3))
+    mat[0, 0] = (1 << 38) - 1
+    assert pseudo_rank(mat, window=8) == fraction_rank(mat)
+    assert mixed == [8]
+    mat[0, 0] = -(1 << 38)
+    assert pseudo_rank(mat, window=8) == fraction_rank(mat)
+    assert mixed == [8]
+    assert rank_paths["fallback"] == 0
+
+
+def test_two_compression_keys_give_the_same_ranks(rank_paths, monkeypatch):
+    rng = np.random.default_rng(35)
+    windows = []
+    for case in range(200):
+        rows, cols = int(rng.integers(12, 61)), int(rng.integers(3, 12))
+        if case % 2:
+            windows.append(tall_planted(rng, rows, cols))
+        else:
+            density = rng.uniform(0.05, 0.5)
+            windows.append((rng.random((rows, cols)) < density).astype(np.uint8))
+    first = [pseudo_rank(w, window=len(w)) for w in windows]
+    mixer = metrics._mixer(11, 60)
+    monkeypatch.setattr(metrics, "_MIX_KEY", metrics._MIX_KEY ^ 0x2545F4914F6CDD1D)
+    assert (metrics._mixer(11, 60) != mixer).mean() > 0.99
+    second = [pseudo_rank(w, window=len(w)) for w in windows]
+    assert first == second
+    assert len(set(first)) > 5
+    # Most windows were decided on their compression, under both keys.
+    assert rank_paths["compressed"] >= 300
 
 
 def test_pseudo_rank_falls_back_when_certificate_fails(rank_paths, monkeypatch):

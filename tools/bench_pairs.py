@@ -63,17 +63,21 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
             "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    info = next((json.loads(line[5:]) for line in lines
-                 if line.startswith("info ")), {})
+    # Output that is missing, unparsable or not a result object is a
+    # failed run, not an error of the pair session.
     try:
+        info = next((json.loads(line[5:]) for line in lines
+                     if line.startswith("info ")), {})
         result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        correct = bool(result["correct"]) and proc.returncode == 0
+        metrics = {k: m["value"] for k, m in result["metrics"].items()}
+    except (IndexError, KeyError, TypeError, AttributeError, ValueError):
         return {"correct": False, "units": None, "metrics": {},
                 "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
     return {
-        "correct": bool(result["correct"]) and proc.returncode == 0,
+        "correct": correct,
         "units": info.get("units"),
-        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+        "metrics": metrics,
         "environment": info.get("environment"),
     }
 
