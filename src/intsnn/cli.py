@@ -215,8 +215,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Grid keys that `focused` takes from its own flags alone; a config file
+# that sets one is refused rather than silently overridden.
+_FOCUSED_FLAGS = {"sizes": "--n", "densities": "--density", "seeds_per_cell": "--seeds"}
+
+
 def cmd_focused(args) -> int:
-    config = load_config(args.config, _grid_overrides(args))
+    config = load_config(args.config, _grid_overrides(args), _FOCUSED_FLAGS)
     grid = focused_grid(config.grid, args.bit_widths, args.n, args.density, args.seeds)
     workers = _workers(config)
     out = _ensure_dir(args.out or config.output_dir)

@@ -165,10 +165,19 @@ def _apply(config: RunConfig, values: dict[str, object]) -> None:
 
 
 def build_config(
-    file_text: str | None = None, overrides: dict[str, object] | None = None
+    file_text: str | None = None,
+    overrides: dict[str, object] | None = None,
+    flag_only: dict[str, str] | None = None,
 ) -> RunConfig:
-    """Defaults, then variant preset, then file values, then overrides."""
+    """Defaults, then variant preset, then file values, then overrides.
+    A file key in `flag_only` (key -> flag) is refused, naming the flag
+    that sets it instead."""
     file_values = parse_config_text(file_text) if file_text else {}
+    for key in file_values:
+        if key in (flag_only or {}):
+            raise ValueError(
+                f"config key {key} is not read here; set it with {flag_only[key]}"
+            )
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     for key in overrides:
         if key not in _SCHEMA:
@@ -184,9 +193,13 @@ def build_config(
     return config
 
 
-def load_config(path: str | None, overrides: dict[str, object] | None = None) -> RunConfig:
+def load_config(
+    path: str | None,
+    overrides: dict[str, object] | None = None,
+    flag_only: dict[str, str] | None = None,
+) -> RunConfig:
     text = None
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return build_config(text, overrides)
+    return build_config(text, overrides, flag_only)

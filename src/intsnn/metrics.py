@@ -89,7 +89,9 @@ def active_fraction(raster: np.ndarray) -> float:
     return float(np.count_nonzero(r.any(axis=0))) / r.shape[1]
 
 
-def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
+def pseudo_rank(
+    raster: np.ndarray, window: int | None = None, memo: dict | None = None
+) -> int:
     """Exact rank over the rationals of the last `window` raster rows.
 
     Duplicate rows (one pass over the window's bytes), the zero row and
@@ -100,6 +102,12 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     gives the rank instead. There is no floating-point tolerance
     anywhere; a raster holding anything but integers in int64 range is
     refused. `window` defaults to min(500, T // 2).
+
+    A caller ranking many windows may pass one `memo` dict to them all.
+    It maps (dtype, row width in bytes, set of distinct nonzero rows) to
+    the rank, so a window whose rows, in any order and with any repeats,
+    form a set ranked before is not eliminated again. The key holds the
+    rows themselves, not a hash of them, so a hit is exact.
     """
     r = np.asarray(raster)
     if r.ndim != 2 or r.size == 0:
@@ -129,8 +137,15 @@ def pseudo_rank(raster: np.ndarray, window: int | None = None) -> int:
     data = tail.tobytes()
     kept = dict.fromkeys(data[k : k + width] for k in range(0, len(data), width))
     kept.pop(bytes(width), None)
+    if memo is not None:
+        key = (tail.dtype.str, width, frozenset(kept))
+        if key in memo:
+            return memo[key]
     mat = np.frombuffer(b"".join(kept), dtype=tail.dtype).reshape(-1, tail.shape[1])
-    return _modular_rank(mat[:, mat.any(axis=0)])
+    rank = _modular_rank(mat[:, mat.any(axis=0)])
+    if memo is not None:
+        memo[key] = rank
+    return rank
 
 
 # A prime below 2^31, so the product of two residues fits in int64.

@@ -243,7 +243,11 @@ def build_network(grid: SweepGrid, n: int, density: float, bits: int) -> Network
 
 
 def _measure_run(
-    rows: np.ndarray, cycle: CycleReport, horizon: int, window: int
+    rows: np.ndarray,
+    cycle: CycleReport,
+    horizon: int,
+    window: int,
+    memo: dict | None = None,
 ) -> tuple[float, float, int]:
     """Full-horizon metrics from the spike rows of steps 1..t2 (all
     `horizon` rows when censored) that first_revisit yields.
@@ -253,7 +257,8 @@ def _measure_run(
     period + 1 from mu on; spike counts are weighted by that in Python
     ints, so the total is exact past 2^63. Only the last `window` step
     rows s are folded onto recorded rows, s >= mu onto mu + (s - mu) %
-    period."""
+    period. `memo` goes to `pseudo_rank`, which ranks a window once per
+    distinct row set it holds."""
     n = rows.shape[1]
     detected = cycle.status == DETECTED
     mu, period = (cycle.transient, cycle.period) if detected else (horizon, 1)
@@ -263,7 +268,7 @@ def _measure_run(
     active = float(np.count_nonzero(rows.any(axis=0))) / n
     s = np.arange(horizon - window, horizon)
     tail = rows[np.where(s < mu, s, mu + (s - mu) % period)]
-    rank = pseudo_rank(tail, window=window) if window > 0 else 0
+    rank = pseudo_rank(tail, window=window, memo=memo) if window > 0 else 0
     return rate, active, rank
 
 
@@ -276,13 +281,16 @@ def run_cell(
     *,
     net: Network | None = None,
     revisit: tuple[np.ndarray, CycleReport] | None = None,
+    memo: dict | None = None,
 ) -> MetricsRecord:
     """One record, reproducible in isolation from the grid parameters.
 
     A cohort passes `revisit`, the (rows, report) that first_revisit
     yielded for this cell's lane, and the record is read from it.
     Without it the cell steps as a cohort of one lane, on `net` when
-    given, which must be `build_network(grid, n, density, bits)`.
+    given, which must be `build_network(grid, n, density, bits)`. A
+    cohort also passes its rank `memo` (see `_measure_run`); a lone cell
+    passes none.
     """
     if revisit is None:
         if net is None:
@@ -294,7 +302,7 @@ def run_cell(
         )
     rows, cycle = revisit
     rate, active, rank = _measure_run(
-        rows, cycle, grid.horizon, default_window(grid.horizon)
+        rows, cycle, grid.horizon, default_window(grid.horizon), memo
     )
     return MetricsRecord(
         run_id=format_run_id(n, density, bits, seed_idx),
@@ -386,15 +394,20 @@ def _run_cohort(job) -> list[MetricsRecord]:
     record is made by `run_cell` when the lane retires, so a failure
     there names the lane's run_id, a failed build names the network's
     first cell, and a failure in the shared stepping names the cohort's
-    first cell.
+    first cell. The cohort's lanes share one rank memo, so seeds that
+    settle on one attractor rank its rows once; it holds at most LANES
+    entries and is dropped with the cohort.
     """
     grid, cells = job
     records = []
+    memo: dict = {}
     with _failures_name(cells[0]):
         for net, group, v, s in _cohort_scans(grid, cells):
             for lane, rows, cycle in first_revisit(net, v, s, grid.horizon):
                 with _failures_name(group[lane]):
-                    records.append(run_cell(grid, *group[lane], revisit=(rows, cycle)))
+                    records.append(
+                        run_cell(grid, *group[lane], revisit=(rows, cycle), memo=memo)
+                    )
     return records
 
 

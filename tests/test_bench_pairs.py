@@ -41,6 +41,38 @@ def test_verdict(direction, parent, change, expected):
     assert bench_pairs.verdict(parent, change, direction, 0.1) == expected
 
 
+_PARENT = [100.0, 101.0, 99.5, 100.5, 99.5, 100.0, 102.0, 98.0, 100.5, 99.0]
+
+
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        # 10 wins of 10, the median 10 above a parent q3 - q1 of 1
+        ([110.0] * 10, True),
+        # 9 of 10, with a loss
+        ([110.0] * 9 + [90.0], True),
+        # 9 of 10, with a tie, which counts for neither side
+        ([110.0] * 9 + _PARENT[9:], True),
+        # 8 of 10, with a tie and a loss, or with two ties
+        ([110.0] * 8 + [_PARENT[8], 90.0], False),
+        ([110.0] * 8 + _PARENT[8:], False),
+        # every pair won, but the median gap (0.75) is inside the IQR (1)
+        ([p + 0.75 for p in _PARENT], False),
+        # the same gap past the IQR
+        ([p + 1.25 for p in _PARENT], True),
+    ],
+)
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(
+    change, shown
+):
+    assert bench_pairs.quartiles(_PARENT) == (99.5, 100.0, 100.5)
+    assert bench_pairs.gain_shown(_PARENT, change, "higher") is shown
+    # the same runs mirrored, for a metric where lower is better
+    mirrored = [-p for p in _PARENT], [-c for c in change]
+    assert bench_pairs.gain_shown(*mirrored, "lower") is shown
+    assert bench_pairs.gain_shown(*mirrored, "higher") is False
+
+
 def _run(pair, side, value, correct=True):
     metrics = {"runs_per_s": value, "setup_s": 1.0} if correct else {}
     return {"workload": "grid", "seed": 100 + pair, "pair": pair, "side": side,
@@ -69,9 +101,23 @@ def test_summarize_ratio_wins_and_a_dropped_pair():
     assert rate["median_ratio"] == 1.1
     assert (rate["change_wins"], rate["out_of"]) == (2, 3)
     assert (rate["bound"], rate["verdict"]) == (0.25, "holds")
+    # 2 wins of 3 is short of nine tenths
+    assert rate["gain_shown"] is False
     setup = grid["setup_s"]
     assert (setup["median_ratio"], setup["change_wins"]) == (1.0, 0)
+    assert setup["gain_shown"] is False
     assert "verdict" not in setup
+
+
+def test_summarize_shows_a_gain_only_for_metrics_with_a_direction():
+    runs = []
+    for pair in range(10):
+        runs += [_run(pair, "parent", 10.0 + pair % 2), _run(pair, "change", 13.0)]
+    grid = bench_pairs.summarize(runs, {"runs_per_s": "higher"}, {})["grid"]
+    assert grid["runs_per_s"]["change_wins"] == 10
+    assert grid["runs_per_s"]["gain_shown"] is True
+    assert grid["setup_s"]["better"] is None
+    assert "gain_shown" not in grid["setup_s"]
 
 
 def test_summarize_keeps_a_workload_whose_runs_all_pass():

@@ -404,6 +404,10 @@ def test_cli_refuses_workers_below_one_before_writing(
     tmp_path, monkeypatch, capsys, command, source, workers
 ):
     cfg = write_small_config(tmp_path)
+    if command == "focused":
+        # focused refuses the file's sizes and densities (its --n and
+        # --density set them), so it reads the other two keys only.
+        cfg.write_text("bits = 2..4\nhorizon = 40\n")
     out = tmp_path / "o"
     args = [command, "--config", str(cfg), "--out", str(out)]
     if source == "flag":
@@ -444,6 +448,42 @@ def test_cli_focused(tmp_path):
     assert {r.seed for r in records} == {0, 1, 2}
     assert main(["focused", "--out", str(tmp_path / "f1"), "--n", "6",
                  "--seeds", "1", "--horizon", "40"]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, flag",
+    [("sizes", "32", "--n"), ("densities", "0.2", "--density"),
+     ("seeds_per_cell", "7", "--seeds")],
+)
+def test_cli_focused_refuses_grid_keys_its_flags_set(
+    tmp_path, monkeypatch, capsys, key, value, flag
+):
+    # These keys used to be dropped without a word while `bits` was read.
+    cfg = tmp_path / "focused.cfg"
+    cfg.write_text(f"bits = 3\nhorizon = 40\n{key} = {value}\n")
+    out = tmp_path / "o"
+    monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("ran a cell"))
+    assert main(["focused", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key} " in err and err.rstrip().endswith(flag), err
+    assert not out.exists()
+
+
+def test_cli_focused_reads_bits_and_a_variant_preset_from_its_config(tmp_path):
+    # The preset's densities are not the user's key, so the variant is
+    # allowed; --density still sets the density, and the preset's leak_k
+    # and the file's bits are read.
+    cfg = tmp_path / "focused.cfg"
+    cfg.write_text("bits = 3\nhorizon = 40\nvariant = variant-k8\n")
+    out = tmp_path / "o"
+    assert main(["focused", "--config", str(cfg), "--out", str(out),
+                 "--n", "6", "--seeds", "2"]) == 0
+    records = read_records_csv(out / "records.csv")
+    assert [(r.n, r.density, r.bits, r.seed) for r in records] == [
+        (6, 0.5, 3, 0), (6, 0.5, 3, 1)
+    ]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid"]["leak_k"] == 8
 
 
 def test_cli_oracle_pass_and_budget_refusal(tmp_path, capsys):

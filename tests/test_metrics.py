@@ -114,6 +114,69 @@ def test_pseudo_rank_matches_fraction_elimination():
         assert 0 <= rank <= min(rows, cols)
 
 
+def test_pseudo_rank_memo_gives_the_same_ranks():
+    # Windows whose rows come from small pools, so row sets repeat,
+    # ranked with one shared memo and each without one.
+    rng = np.random.default_rng(31)
+    pools = [rng.integers(0, 2, size=(6, int(rng.integers(1, 9))), dtype=np.uint8)
+             for _ in range(4)]
+    memo = {}
+    for _ in range(300):
+        pool = pools[int(rng.integers(0, 4))]
+        rows = int(rng.integers(1, 13))
+        window = pool[rng.integers(0, len(pool), size=rows)]
+        assert pseudo_rank(window, window=rows, memo=memo) == pseudo_rank(
+            window, window=rows
+        )
+    # at most 4 * 2^6 row sets, so many windows hit the memo
+    assert len(memo) < 150
+
+
+def test_pseudo_rank_memo_eliminates_each_row_set_once(monkeypatch):
+    eliminated = []
+    modular_rank = metrics._modular_rank
+
+    def counted(mat):
+        eliminated.append(mat.shape)
+        return modular_rank(mat)
+
+    monkeypatch.setattr(metrics, "_modular_rank", counted)
+    rng = np.random.default_rng(8)
+    memo = {}
+    for case in range(20):
+        base = rng.integers(0, 2, size=(12, 9), dtype=np.uint8)
+        rank = pseudo_rank(base, window=12, memo=memo)
+        assert rank == fraction_rank(base)
+        # permuted rows, repeated rows and an added zero row: one set
+        for copy in (
+            base[rng.permutation(12)],
+            np.concatenate([base, base[::-1], base[:3]]),
+            np.concatenate([np.zeros((2, 9), dtype=np.uint8), base]),
+        ):
+            assert pseudo_rank(copy, window=len(copy), memo=memo) == rank
+        assert len(eliminated) == len(memo) == case + 1
+    # a window of a subset of the rows is a new set
+    assert pseudo_rank(base[:4], window=4, memo=memo) == fraction_rank(base[:4])
+    assert len(eliminated) == len(memo) == 21
+
+
+def test_pseudo_rank_memo_keys_on_dtype_and_width():
+    # The same bytes as two uint8 rows of width 8 (rank 2), as two int64
+    # rows of width 1 (1 and 256, rank 1) and as two int16 rows of width
+    # 4 (rank 1): three matrices, so three entries.
+    as_bytes = np.zeros((2, 8), dtype=np.uint8)
+    as_bytes[0, 0] = as_bytes[1, 1] = 1
+    as_int64 = as_bytes.view("<i8")
+    as_int16 = as_bytes.view("<i2")
+    assert as_int64.tolist() == [[1], [256]]
+    memo = {}
+    assert pseudo_rank(as_bytes, window=2, memo=memo) == 2
+    assert pseudo_rank(as_int64, window=2, memo=memo) == 1
+    assert pseudo_rank(as_int16, window=2, memo=memo) == 1
+    assert len(memo) == 3
+    assert pseudo_rank(as_int64, window=2, memo=memo) == 1
+
+
 @pytest.fixture
 def rank_paths(monkeypatch):
     """Counts, while the test runs, of ranks decided on the compressed

@@ -24,7 +24,7 @@ from intsnn.metrics import (
     firing_rate,
     pseudo_rank,
 )
-from intsnn import sweep
+from intsnn import metrics, sweep
 from intsnn.network import Network, NetworkState, initial_state
 from intsnn.sweep import (
     DEFAULT_MASTER_SEED,
@@ -249,9 +249,14 @@ def test_run_grid_builds_each_network_once(monkeypatch):
     lone = tiny_grid(seeds_per_cell=1)
     real_run_cell = sweep.run_cell
 
-    def run_cell_given_revisit(grid, n, density, bits, seed_idx, *, revisit=None):
+    def run_cell_given_revisit(
+        grid, n, density, bits, seed_idx, *, revisit=None, memo=None
+    ):
         assert revisit is not None, "run_cell was left to step"
-        return real_run_cell(grid, n, density, bits, seed_idx, revisit=revisit)
+        assert memo is not None, "the cohort passed no rank memo"
+        return real_run_cell(
+            grid, n, density, bits, seed_idx, revisit=revisit, memo=memo
+        )
 
     # Pool workers are forked, so they see the patched module too, and
     # a failed assertion there comes back as a CellError.
@@ -468,6 +473,43 @@ def test_cohort_records_match_naive_pipeline_and_lone_cells():
     assert {1, 2, 7, None} <= t2s
     assert max(t for t in t2s if t) > 50
     assert mixed
+
+
+def test_cohort_ranks_each_distinct_row_set_once(monkeypatch):
+    # One cohort of two networks with 4 seeds each: at bits 4 every seed
+    # settles on one period-23 attractor, at bits 6 on one fixed point.
+    grid = SweepGrid(sizes=[16], densities=[0.6], bit_widths=[4, 6],
+                     seeds_per_cell=4, horizon=100, master_seed=1,
+                     threshold_range=(1, 6))
+    (cells,) = sweep._cohorts(grid)
+    row_sets, eliminations = [], []
+    real_pseudo_rank, real_modular_rank = sweep.pseudo_rank, metrics._modular_rank
+
+    def pseudo_rank(tail, window=None, memo=None):
+        row_sets.append(frozenset(row.tobytes() for row in tail) - {bytes(16)})
+        return real_pseudo_rank(tail, window, memo)
+
+    def modular_rank(mat):
+        eliminations.append(mat.shape)
+        return real_modular_rank(mat)
+
+    monkeypatch.setattr(sweep, "pseudo_rank", pseudo_rank)
+    monkeypatch.setattr(metrics, "_modular_rank", modular_rank)
+    records = sweep._run_cohort((grid, cells))
+    # every window is still ranked through pseudo_rank, but each
+    # distinct row set is eliminated once
+    assert len(row_sets) == 8
+    assert len(eliminations) == len(set(row_sets)) == 2
+    assert {(r.bits, r.cycle.period, r.pseudo_rank) for r in records} == {
+        (4, 23, 9), (6, 1, 1)
+    }
+    # a lone cell ranks its own window, with no memo
+    for r in records:
+        assert r == run_cell(grid, r.n, r.density, r.bits, r.seed), r.run_id
+        assert naive_measurements(grid, r.n, r.density, r.bits, r.seed)[2] == (
+            r.pseudo_rank
+        )
+    assert len(eliminations) == 2 + 2 * 8
 
 
 def test_cohort_job_memory_is_bounded():

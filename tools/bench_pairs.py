@@ -20,8 +20,11 @@ end-to-end metric also gets a verdict from its `bound` in BENCHMARK.json:
 "worse" when the change median is worse than the parent median by more
 than the bound, "unresolved" when the parent's interquartile range is a
 larger share of its median than the bound and not every change run beats
-every parent run, and "holds" otherwise. Only the standard library is
-used.
+every parent run, and "holds" otherwise. Each metric with a `better`
+direction gets `gain_shown`: true when the change wins at least nine
+tenths of the pairs (a tie counts for neither side) and its median beats
+the parent's by more than the parent's interquartile range. Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -104,10 +107,29 @@ def verdict(parent: list[float], change: list[float], direction: str,
     return "holds"
 
 
+def change_wins(parent: list[float], change: list[float], direction: str) -> int:
+    """Pairs (parent[i], change[i]) that the change wins; a tie counts
+    for neither side."""
+    sign = 1 if direction == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def gain_shown(parent: list[float], change: list[float], direction: str) -> bool:
+    """Whether the pairs show a gain: the change wins at least 9 of
+    every 10, and its median beats the parent's by more than the
+    parent's q3 - q1."""
+    sign = 1 if direction == "higher" else -1
+    pq1, pmed, pq3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - pmed)
+    wins = change_wins(parent, change, direction)
+    return 10 * wins >= 9 * len(parent) and gap > pq3 - pq1
+
+
 def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float]) -> dict:
-    """Per workload and metric: medians, quartiles, ratio and wins, and a
-    verdict for each metric with a bound. A pair with a run that is
+    """Per workload and metric: medians, quartiles, ratio and wins, a
+    `gain_shown` for each metric with a direction, and a verdict for
+    each metric with a bound. A pair with a run that is
     missing or not correct is left out of every statistic and listed
     under `dropped_pairs`, with the sides that failed."""
     summary: dict[str, dict] = {}
@@ -145,9 +167,7 @@ def summarize(runs: list[dict], better: dict[str, str],
             direction = better.get(name)
             wins = None
             if direction is not None:
-                sign = 1 if direction == "higher" else -1
-                wins = sum(sign * (c - p) > 0 for p, c in
-                           zip(values["parent"], values["change"]))
+                wins = change_wins(values["parent"], values["change"], direction)
             entry[name] = {
                 "better": direction,
                 "parent_median": pmed,
@@ -159,6 +179,10 @@ def summarize(runs: list[dict], better: dict[str, str],
                 "change_wins": wins,
                 "out_of": len(kept),
             }
+            if direction is not None:
+                entry[name]["gain_shown"] = gain_shown(
+                    values["parent"], values["change"], direction
+                )
             if name in bounds:
                 entry[name]["bound"] = bounds[name]
                 entry[name]["verdict"] = verdict(
