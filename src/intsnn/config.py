@@ -173,8 +173,9 @@ def build_config(
     A file key in `flag_only` (key -> flag) is refused, naming the flag
     that sets it instead."""
     file_values = parse_config_text(file_text) if file_text else {}
+    flag_only = flag_only or {}
     for key in file_values:
-        if key in (flag_only or {}):
+        if key in flag_only:
             raise ValueError(
                 f"config key {key} is not read here; set it with {flag_only[key]}"
             )

@@ -73,6 +73,12 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(
     assert bench_pairs.gain_shown(*mirrored, "higher") is False
 
 
+def test_gain_shown_needs_ten_pairs():
+    assert bench_pairs.gain_shown(_PARENT, [110.0] * 10, "higher") is True
+    assert bench_pairs.gain_shown(_PARENT[:9], [110.0] * 9, "higher") is False
+    assert bench_pairs.gain_shown(_PARENT * 2, [110.0] * 19 + [90.0], "higher")
+
+
 def _run(pair, side, value, correct=True):
     metrics = {"runs_per_s": value, "setup_s": 1.0} if correct else {}
     return {"workload": "grid", "seed": 100 + pair, "pair": pair, "side": side,

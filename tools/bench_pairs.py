@@ -21,10 +21,10 @@ end-to-end metric also gets a verdict from its `bound` in BENCHMARK.json:
 than the bound, "unresolved" when the parent's interquartile range is a
 larger share of its median than the bound and not every change run beats
 every parent run, and "holds" otherwise. Each metric with a `better`
-direction gets `gain_shown`: true when the change wins at least nine
-tenths of the pairs (a tie counts for neither side) and its median beats
-the parent's by more than the parent's interquartile range. Only the
-standard library is used.
+direction gets `gain_shown`: true when there are at least ten pairs, the
+change wins at least nine tenths of them (a tie counts for neither side)
+and its median beats the parent's by more than the parent's
+interquartile range. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -115,14 +115,14 @@ def change_wins(parent: list[float], change: list[float], direction: str) -> int
 
 
 def gain_shown(parent: list[float], change: list[float], direction: str) -> bool:
-    """Whether the pairs show a gain: the change wins at least 9 of
-    every 10, and its median beats the parent's by more than the
-    parent's q3 - q1."""
+    """Whether the pairs show a gain: there are at least 10, the change
+    wins at least 9 of every 10, and its median beats the parent's by
+    more than the parent's q3 - q1."""
     sign = 1 if direction == "higher" else -1
     pq1, pmed, pq3 = quartiles(parent)
     gap = sign * (statistics.median(change) - pmed)
     wins = change_wins(parent, change, direction)
-    return 10 * wins >= 9 * len(parent) and gap > pq3 - pq1
+    return len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > pq3 - pq1
 
 
 def summarize(runs: list[dict], better: dict[str, str],
@@ -165,9 +165,6 @@ def summarize(runs: list[dict], better: dict[str, str],
             pq1, pmed, pq3 = quartiles(values["parent"])
             cq1, cmed, cq3 = quartiles(values["change"])
             direction = better.get(name)
-            wins = None
-            if direction is not None:
-                wins = change_wins(values["parent"], values["change"], direction)
             entry[name] = {
                 "better": direction,
                 "parent_median": pmed,
@@ -176,12 +173,14 @@ def summarize(runs: list[dict], better: dict[str, str],
                 "parent_q1_q3": [pq1, pq3],
                 "change_q1_q3": [cq1, cq3],
                 "parent_iqr_share_of_median": (pq3 - pq1) / pmed if pmed else None,
-                "change_wins": wins,
+                "change_wins": None,
                 "out_of": len(kept),
             }
             if direction is not None:
-                entry[name]["gain_shown"] = gain_shown(
-                    values["parent"], values["change"], direction
+                runs_by_side = values["parent"], values["change"]
+                entry[name].update(
+                    change_wins=change_wins(*runs_by_side, direction),
+                    gain_shown=gain_shown(*runs_by_side, direction),
                 )
             if name in bounds:
                 entry[name]["bound"] = bounds[name]
