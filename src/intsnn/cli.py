@@ -104,6 +104,11 @@ def _write_sweep_figures(out: Path, summaries, label: str) -> None:
         )
 
 
+# Grid keys that `simulate` and `oracle` take from their own flags alone;
+# a config file that sets one is refused rather than silently overridden.
+_CELL_FLAGS = {"sizes": "--n", "densities": "--density", "bits": "--bits"}
+
+
 def _cell_config(args):
     """Config for the one cell that --n, --density and --bits name, with
     its grid validated as `intsnn sweep` validates one, so a bad model
@@ -112,7 +117,7 @@ def _cell_config(args):
     overrides.update(
         {"sizes": [args.n], "densities": [args.density], "bits": [args.bits_value]}
     )
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, overrides, _CELL_FLAGS)
     config.grid.validate()
     return config
 

@@ -96,12 +96,13 @@ def pseudo_rank(
 
     Duplicate rows (one pass over the window's bytes), the zero row and
     all-zero columns are discarded first; none changes the rank. What
-    is left (compressed to a square first when it is tall) is
-    eliminated modulo a prime, and a kernel certificate proves that
-    rank exact; when it fails, fraction-free (Bareiss) elimination
-    gives the rank instead. There is no floating-point tolerance
-    anywhere; a raster holding anything but integers in int64 range is
-    refused. `window` defaults to min(500, T // 2).
+    is left, A, is eliminated modulo a prime through its Gram matrix
+    AᵀA, which has the rank of A over Q (|Ax|² = xᵀAᵀAx), or as it is
+    when AᵀA could leave int64. A kernel certificate checked against A
+    proves that rank exact; when it fails, fraction-free (Bareiss)
+    elimination gives the rank instead. There is no floating-point
+    tolerance anywhere; a raster holding anything but integers in int64
+    range is refused. `window` defaults to min(500, T // 2).
 
     A caller ranking many windows may pass one `memo` dict to them all.
     It maps (dtype, row width in bytes, set of distinct nonzero rows) to
@@ -153,72 +154,40 @@ _P = 2**31 - 1
 # Rows per block in the elimination and the kernel check. Small blocks
 # keep the temporaries, and the heap the allocator retains, small.
 _BLOCK = 64
-# A tall window is compressed by a cols x rows matrix with entries in
-# 1..2^_MIX_BITS, drawn by a fixed integer hash keyed by _MIX_KEY.
-_MIX_BITS = 22
-_MIX_KEY = 0x5851F42D4C957F2D
 
 
 def _modular_rank(mat: np.ndarray) -> int:
-    """Rank over the rationals of an integer matrix, certified.
+    """Rank over the rationals of an integer matrix A (m x c), certified.
 
-    A tall matrix A (rows m > cols c) is first compressed: B = R·A, with
-    R a fixed c x m integer matrix (`_mixer`), is formed exactly in
-    int64 when max|A| * m * 2^22 < 2^63, and the c x c matrix B is
-    eliminated in place of A. Since rank_p(RA) <= rank_p(A) <=
-    rank_Q(A) <= c, a rank c of B mod _P is the rank over Q. A lower
-    rank r is proved by the kernel check below, made against A and
-    never against B; if it fails (R lost rank, or the kernel is not
-    integral), the uncompressed path runs on A. So R changes the speed,
-    never the answer.
+    The c x c Gram matrix G = AᵀA is eliminated in place of A when it
+    is exact in int64, that is when max|A|² * m < 2^63. G has the rank
+    of A over Q: xᵀAᵀAx = |Ax|², so Gx = 0 forces Ax = 0, and G has
+    A's column dependencies. Otherwise A itself is eliminated.
 
-    Uncompressed, elimination mod _P gives r = rank mod _P, and the
-    rank over Q is at least r, since a minor that is nonzero mod _P is
-    nonzero. So r is exact when it equals min(rows, cols). Otherwise
-    each free column's kernel vector is read from the reduced echelon
-    form as integers and checked exactly against `mat`; cols - r
-    independent kernel vectors prove the rank over Q is at most r.
-    When the check fails, Bareiss elimination decides.
+    Elimination mod _P gives r = rank_p(G), and rank_p(G) <= rank_Q(G)
+    = rank_Q(A), since a minor that is nonzero mod _P is nonzero. So r
+    is exact when it equals min(m, c). Otherwise each free column's
+    kernel vector is read from the reduced echelon form as integers
+    and checked exactly against A, never against G; c - r independent
+    kernel vectors prove the rank over Q is at most r. When the check
+    fails, Bareiss elimination decides.
     """
-    rank = _compressed_rank(mat)
-    if rank is None:
-        rank = _certified_rank(mat.astype(np.int64), mat)
+    work = mat.astype(np.int64)
+    # initial=0: the 0 x 0 window left when every row is zero has no max.
+    largest = max(int(work.max(initial=0)), -int(work.min(initial=0)))
+    if largest * largest * len(work) < 2**63:
+        # A contiguous copy of Aᵀ multiplies faster than the strided view.
+        work = np.ascontiguousarray(work.T) @ work
+    rank = _certified_rank(work, mat)
     if rank is None:
         rank = _fraction_free_rank(mat.tolist())
     return rank
 
 
-def _compressed_rank(mat: np.ndarray) -> int | None:
-    """Certified rank of a tall `mat` from its compression R·mat, or
-    None when `mat` is not tall, the product could leave int64, or the
-    compressed rank is not certified."""
-    rows, cols = mat.shape
-    if not 0 < cols < rows:
-        return None
-    largest = max(int(mat.max()), -int(mat.min()))
-    if largest * rows * 2**_MIX_BITS >= 2**63:
-        return None
-    return _certified_rank(_mixer(cols, rows) @ mat.astype(np.int64), mat)
-
-
-def _mixer(rows: int, cols: int) -> np.ndarray:
-    """int64 matrix of the given shape with entries in 1..2^_MIX_BITS:
-    the top bits of a multiply, xor-shift, multiply hash of each
-    entry's flat index plus _MIX_KEY."""
-    z = np.arange(rows * cols, dtype=np.uint64)
-    z += np.uint64(_MIX_KEY)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(29)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z >>= np.uint64(64 - _MIX_BITS)
-    z += np.uint64(1)
-    return z.view(np.int64).reshape(rows, cols)
-
-
 def _certified_rank(work: np.ndarray, mat: np.ndarray) -> int | None:
     """Rank over Q of `mat` read from the int64 matrix `work`, which is
-    `mat` or a compression R·mat of it with as many columns; None when
-    the rank mod _P is not proved. `work` is overwritten."""
+    `mat` or its Gram matrix; None when the rank mod _P is not proved.
+    `work` is overwritten."""
     work %= _P
     pivots = _echelon(work)
     rank = len(pivots)

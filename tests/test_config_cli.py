@@ -469,6 +469,30 @@ def test_cli_focused_refuses_grid_keys_its_flags_set(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize(
+    "key, value, flag",
+    [("sizes", "12", "--n"), ("densities", "0.2", "--density"),
+     ("bits", "3", "--bits")],
+)
+def test_cli_cell_commands_refuse_grid_keys_their_flags_set(
+    tmp_path, monkeypatch, capsys, command, key, value, flag
+):
+    # These keys used to be dropped without a word: the flags' defaults
+    # (n=64, density 0.5, bits 8) ran instead.
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(f"horizon = 40\n{key} = {value}\n")
+    out = tmp_path / "o"
+    monkeypatch.setattr(cli, "build_network", lambda *a: pytest.fail("built"))
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "oracle":
+        args += ["--n", "2", "--bits", "3"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key} " in err and err.rstrip().endswith(flag), err
+    assert not out.exists()
+
+
 def test_cli_focused_reads_bits_and_a_variant_preset_from_its_config(tmp_path):
     # The preset's densities are not the user's key, so the variant is
     # allowed; --density still sets the density, and the preset's leak_k
@@ -583,6 +607,8 @@ def test_cli_cell_rerun_matches_sweep_row(tmp_path, capsys):
     assert alone == probe
     # `intsnn simulate` on the same cell prints that row's metrics.
     capsys.readouterr()
+    # simulate takes the cell from its flags and refuses the grid keys.
+    cfg.write_text("horizon = 40\n")
     assert main([
         "simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
         "--n", str(probe.n), "--density", str(probe.density),
