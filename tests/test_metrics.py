@@ -253,9 +253,9 @@ def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
             decided[key] = decided.get(key, 0) + 1
             assert step["gram"] == (scale == 1)
     # The shortcut and the kernel certificate each decided many cases,
-    # on the Gram matrix or not. A dense near-square matrix can have a kernel
-    # vector with rational entries, which the integer check refuses; it
-    # falls back by design.
+    # on the Gram matrix or not. A dense near-square matrix can have a
+    # kernel vector with rational entries, which the integer check
+    # refuses; it falls back by design.
     for where in ("gram", "plain"):
         assert decided.get((where, "shortcut"), 0) >= 10
         assert decided.get((where, "certified"), 0) >= 20
