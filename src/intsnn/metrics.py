@@ -164,9 +164,9 @@ def _modular_rank(mat: np.ndarray) -> int:
     of A over Q: xᵀAᵀAx = |Ax|², so Gx = 0 forces Ax = 0, and G has
     A's column dependencies. Otherwise A itself is eliminated.
 
-    Elimination mod _P gives r = rank_p(G), and rank_p(G) <= rank_Q(G)
-    = rank_Q(A), since a minor that is nonzero mod _P is nonzero. So r
-    is exact when it equals min(m, c). Otherwise each free column's
+    Elimination mod _P gives r = rank_p(G) (or rank_p(A)), and
+    rank_p(G) <= rank_Q(G) = rank_Q(A), since a minor that is nonzero
+    mod _P is nonzero. So r is exact when it equals min(m, c). Otherwise each free column's
     kernel vector is read from the reduced echelon form as integers
     and checked exactly against A, never against G; c - r independent
     kernel vectors prove the rank over Q is at most r. When the check
