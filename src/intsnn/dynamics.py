@@ -29,6 +29,14 @@ DEFAULT_STATE_BUDGET = 1 << 20
 # 2048 lanes took twice that and replayed no faster.
 REPLAY_LANES = 1024
 
+# Candidate dtypes of a state key's potentials, narrowest first, with
+# their ranges.
+_KEY_DTYPES = tuple(
+    (d, int(np.iinfo(d).min), int(np.iinfo(d).max))
+    for d in (np.uint8, np.int8, np.uint16, np.int16,
+              np.uint32, np.int32, np.uint64, np.int64)
+)
+
 
 @dataclass
 class Trajectory:
@@ -84,7 +92,9 @@ def first_revisit(
 
     Each tick steps the live lanes in one step_arrays call. Each lane
     keeps a map from visited state to first-visit time, keyed on the
-    exact bytes of net.state_keys. On the first revisit at time t2 of a
+    exact bytes of _state_keys. Their potentials take the narrowest
+    integer dtype that holds every lane's domain, picked at the start
+    and kept for the whole scan. On the first revisit at time t2 of a
     state first seen at t1 the lane reports transient t1 and period
     t2 - t1. The first repeat of a deterministic map is always the cycle
     entry state, so the transient is exact. The lane then retires: the
@@ -99,16 +109,19 @@ def first_revisit(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     v, s = np.asarray(v), np.asarray(s)
     lanes = list(range(len(v)))  # input lane of each live row
+    # Picked once: lanes that retire never narrow the keys of the rest.
+    lo, hi = int(np.min(net._lo)), int(np.max(net._hi))
+    dtype = next(d for d, d_lo, d_hi in _KEY_DTYPES if d_lo <= lo and hi <= d_hi)
     # Insertion order is visit order, so a map needs no times.
-    seen = [{key: None} for key in net.state_keys(v, s)]
+    seen = [{key: None} for key in _state_keys(v, s, dtype)]
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
         retired = {}
-        for i, key in enumerate(net.state_keys(v, s)):
+        for i, key in enumerate(_state_keys(v, s, dtype)):
             if key not in seen[i]:
                 seen[i][key] = None
             else:
-                retired[i] = _retire(net, seen[i], key, t)
+                retired[i] = _retire(net, seen[i], key, t, dtype)
                 seen[i] = None
         if not retired:
             continue
@@ -120,17 +133,27 @@ def first_revisit(
         net, v, s = net.take_lanes(keep), v[keep], s[keep]
         lanes, seen = [lanes[i] for i in keep], [seen[i] for i in keep]
     for i, lane in enumerate(lanes):
-        rows, report = _retire(net, seen[i], None, horizon)
+        rows, report = _retire(net, seen[i], None, horizon, dtype)
         seen[i] = None
         yield lane, rows, report
 
 
+def _state_keys(v: np.ndarray, s: np.ndarray, dtype) -> list[bytes]:
+    """Exact bytes of each (v, s) row of a (B, n) batch: v in `dtype`,
+    which must hold every potential, then the spikes packed eight to a
+    byte."""
+    packed = np.packbits(s, axis=-1)
+    buf = np.concatenate((v.astype(dtype).view(np.uint8), packed), axis=-1)
+    return buf.view(f"V{buf.shape[-1]}")[:, 0].tolist()
+
+
 def _retire(
-    net: Network, visits: dict, key: bytes | None, t: int
+    net: Network, visits: dict, key: bytes | None, t: int, dtype
 ) -> tuple[np.ndarray, CycleReport]:
     """The uint8 spike rows of steps 1..t and the report of a lane whose
-    map holds its states at times 0..t - 1 and whose state at t has
-    `key`, a revisit; None for a lane censored at horizon t."""
+    map holds its states at times 0..t - 1, keyed by _state_keys in
+    `dtype`, and whose state at t has `key`, a revisit; None for a lane
+    censored at horizon t."""
     keys = list(visits)
     if key is None:
         report = CycleReport(CENSORED)
@@ -140,7 +163,7 @@ def _retire(
         keys.append(key)
     del keys[0]
     flat = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-    skip = net.n * np.dtype(net.key_dtype).itemsize
+    skip = net.n * np.dtype(dtype).itemsize
     return np.unpackbits(flat[:, skip:], axis=1, count=net.n), report
 
 

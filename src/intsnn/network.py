@@ -16,25 +16,10 @@ RESET_SUBTRACT = "subtract_threshold"
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-# Float types that sum integers exactly below a bound, narrowest first.
-_FLOAT_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
-
-# A call with at least this many spike entries sums in the float type:
-# below it the two casts cost more than the int64 sums they replace
-# (measured on a 2-core Xeon for n from 2 to 64).
-_FLOAT_MIN_ENTRIES = 128
-
-# Weight dtypes a lane stack can hold, narrowest first; it holds the
-# narrowest that every lane's sums allow.
-_STACK_DTYPES = (np.float32, np.float64, np.int64)
-
-# Candidate dtypes of a state key's potentials, narrowest first, with
-# their ranges.
-_KEY_DTYPES = tuple(
-    (d, int(np.iinfo(d).min), int(np.iinfo(d).max))
-    for d in (np.uint8, np.int8, np.uint16, np.int16,
-              np.uint32, np.int32, np.uint64, np.int64)
-)
+# Types a kernel sums synapses in, narrowest first, each exact for
+# integer sums below its bound; a network steps in the first that holds
+# its largest row sum, and a lane stack in the widest its lanes need.
+_SUM_DTYPES = ((np.float32, 1 << 24), (np.float64, 1 << 53), (np.int64, 1 << 63))
 
 
 def generate_topology(
@@ -146,7 +131,7 @@ class Network:
         self._plan_execution()
 
     def _plan_execution(self) -> None:
-        """Pick the array dtype for stepping.
+        """Pick the array dtypes for stepping.
 
         int64 is used only when every intermediate (leak term, synaptic
         accumulation, their sum, wrap offsets, reset subtraction) provably
@@ -184,35 +169,30 @@ class Network:
             reach += [d.cardinality, raw_lo - d.min_value, raw_hi - d.min_value]
         int64_ok = all(_I64_MIN <= x <= _I64_MAX for x in reach)
 
-        self._object_mode = not int64_ok
+        # Every partial sum of s . W^T row i is an integer no larger in
+        # magnitude than abs_hi, so the first sum type that holds abs_hi
+        # sums it exactly, and BLAS sums floats faster than an int64 loop
+        # (float32 faster still). Python ints when int64 could overflow.
         # Stored transposed once: the kernel's s.dot(W^T) serves one
         # state and a batch alike without a transposed view per call.
-        self._wt_exec = np.ascontiguousarray(
-            self.weights.T, dtype=self.state_dtype
+        sum_dtype = next(
+            (dtype for dtype, bound in _SUM_DTYPES if int64_ok and abs_hi < bound),
+            object,
         )
-        # Every partial sum of s . W^T row i is an integer no larger in
-        # magnitude than abs_hi, so a float type whose significand holds
-        # abs_hi sums it exactly, and BLAS sums it faster than an int64
-        # loop (float32 faster still). None where no float type is exact.
-        self._wt_float = None
-        for dtype, bound in _FLOAT_EXACT if int64_ok else ():
-            if abs_hi < bound:
-                self._wt_float = self._wt_exec.astype(dtype)
-                break
+        self._wt_exec = np.ascontiguousarray(self.weights.T, dtype=sum_dtype)
         self._th_exec = np.asarray(self.thresholds, dtype=self.state_dtype)
         self._lo = d.min_value
         self._hi = d.max_value
         # The cardinality is 2^bits, so wrapping is a mask of the offset.
         self._mask = d.cardinality - 1
         self._saturate = d.overflow_mode == SATURATE
-        self.key_dtype = _narrowest_int(d.min_value, d.max_value)
         # Potentials lie below 2^64 in magnitude, so any shift of 64 or
         # more leaves 0 or -1; capped, an int64 array can take it.
         self._shift = min(self.leak_k, 64)
 
     @property
     def state_dtype(self):
-        return object if self._object_mode else np.int64
+        return object if self._wt_exec.dtype == object else np.int64
 
     def take_lanes(self, keep) -> Network:
         """The network that steps lanes `keep` of a batch: all of them
@@ -221,10 +201,10 @@ class Network:
 
     def _accumulate(self, s):
         """s . W^T, in the state dtype."""
-        wt = self._wt_float
-        if wt is None or s.size < _FLOAT_MIN_ENTRIES:
-            return s.dot(self._wt_exec)
-        return s.astype(wt.dtype).dot(wt).astype(np.int64)
+        wt = self._wt_exec
+        return s.astype(wt.dtype, copy=False).dot(wt).astype(
+            self.state_dtype, copy=False
+        )
 
     def _clamp_vec(self, raw):
         if self._saturate:
@@ -252,13 +232,6 @@ class Network:
         """Spike vector the threshold rule assigns to membrane vector v."""
         return (np.asarray(v) >= self._th_exec).astype(np.int64)
 
-    def state_keys(self, v: np.ndarray, s: np.ndarray) -> list[bytes]:
-        """Exact bytes of each (v, s) row of a (B, n) batch: v in
-        key_dtype, then the spikes packed eight to a byte."""
-        packed = np.packbits(s, axis=-1)
-        buf = np.concatenate((v.astype(self.key_dtype).view(np.uint8), packed), axis=-1)
-        return buf.view(f"V{buf.shape[-1]}")[:, 0].tolist()
-
 
 class LaneStack(Network):
     """Networks of one size, leak shift, overflow mode and reset mode,
@@ -279,14 +252,12 @@ class LaneStack(Network):
         self.reset_mode = reset_mode
         self.weights = self.thresholds = self.domain = None
         self.seed_provenance = None
-        self._object_mode = False
         self._saturate = overflow_mode == SATURATE
         self._shift = min(leak_k, 64)
         # As narrow as every lane's row sums allow (see _plan_execution).
-        self._wt_exec = np.zeros((lanes, n, n), dtype=_STACK_DTYPES[0])
+        self._wt_exec = np.zeros((lanes, n, n), dtype=_SUM_DTYPES[0][0])
         self._th_exec = np.zeros((lanes, n), dtype=np.int64)
         self._lo, self._hi, self._mask = np.zeros((3, lanes, 1), dtype=np.int64)
-        self.key_dtype = np.uint8
 
     def put(self, start: int, count: int, net: Network) -> None:
         """Lanes start .. start + count - 1 step by `net`."""
@@ -296,8 +267,8 @@ class LaneStack(Network):
             net._saturate != self._saturate or net.reset_mode != self.reset_mode
         ):
             raise ValueError("lanes must share n, leak_k and the modes")
-        wt = net._wt_exec if net._wt_float is None else net._wt_float
-        wider = max(wt.dtype.type, self._wt_exec.dtype.type, key=_STACK_DTYPES.index)
+        wt = net._wt_exec
+        wider = max(wt.dtype.type, self._wt_exec.dtype.type, key=dict(_SUM_DTYPES).get)
         # Exact: the lanes so far hold integers their dtype holds exactly.
         self._wt_exec = self._wt_exec.astype(wider, copy=False)
         lanes = slice(start, start + count)
@@ -305,13 +276,10 @@ class LaneStack(Network):
         self._th_exec[lanes] = net._th_exec
         self._lo[lanes], self._hi[lanes] = net._lo, net._hi
         self._mask[lanes] = net._mask
-        # 0 lies in every domain, so lanes not yet put widen nothing.
-        self.key_dtype = _narrowest_int(int(self._lo.min()), int(self._hi.max()))
 
     def take_lanes(self, keep) -> LaneStack:
         """A stack of lanes `keep` only, in that order."""
         part = object.__new__(LaneStack)
-        # key_dtype included: state keys keep their width across a scan.
         part.__dict__.update(self.__dict__)
         for name in ("_wt_exec", "_th_exec", "_lo", "_hi", "_mask"):
             setattr(part, name, getattr(self, name)[keep])
@@ -321,11 +289,6 @@ class LaneStack(Network):
         wt = self._wt_exec
         acc = np.matmul(s[..., None, :].astype(wt.dtype), wt)[..., 0, :]
         return acc.astype(np.int64, copy=False)
-
-
-def _narrowest_int(lo: int, hi: int):
-    """The first of _KEY_DTYPES that holds lo..hi."""
-    return next(d for d, d_lo, d_hi in _KEY_DTYPES if d_lo <= lo and hi <= d_hi)
 
 
 def _integer_array(name: str, values) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intsnn import dynamics
-from intsnn.arith import IntegerDomain
+from intsnn.arith import SATURATE, SIGNED, UNSIGNED, IntegerDomain
 from intsnn.dynamics import (
     CENSORED,
     DETECTED,
@@ -29,10 +29,13 @@ from intsnn.dynamics import (
     write_trajectory_csv,
 )
 from intsnn.network import (
+    RESET_NONE,
     RESET_SUBTRACT,
+    LaneStack,
     Network,
     NetworkState,
     generate_topology,
+    initial_state,
     sample_thresholds,
 )
 from intsnn.rng import derive_seed
@@ -452,6 +455,50 @@ def test_batch_scan_matches_one_state_scans(case):
     # a short horizon censors the slow lanes and still detects the rest
     short = assert_batch_matches_lanes(net, max(1, full // 2))
     assert {p >= 1 for _, p in short} == {True, False}
+
+
+def test_lane_stack_scan_keeps_its_keys_when_the_widest_lane_retires():
+    # A 16-bit lane that starts on its attractor retires at tick 1; the
+    # 4-bit lanes beside it revisit at ticks 9 to 12. The keys of every
+    # lane keep the 16-bit width the scan started with, so each lane
+    # reports and rebuilds its rows as it does when scanned alone.
+    def lane(bits, signedness, seed):
+        domain = IntegerDomain(bits, signedness, SATURATE)
+        return Network(
+            n=6,
+            weights=generate_topology(6, 0.6, -4, 4, seed=derive_seed(51, seed)),
+            thresholds=sample_thresholds(
+                6, 1, min(6, domain.max_value), seed=derive_seed(52, seed)
+            ),
+            leak_k=1,
+            domain=domain,
+        )
+
+    wide = lane(16, SIGNED, 15)
+    settled = simulate(wide, initial_state(wide, derive_seed(53, 15)), 60)
+    nets = [lane(4, UNSIGNED, 100), wide, lane(4, UNSIGNED, 108),
+            lane(4, UNSIGNED, 111)]
+    starts = [initial_state(net, derive_seed(54, seed))
+              for net, seed in zip(nets, (0, 0, 8, 11))]
+    starts[1] = NetworkState(settled.states[-1], settled.raster[-1].astype(np.int64))
+    alone = [
+        next(dynamics.first_revisit(net, st.v[None], st.s[None], 100))[1:]
+        for net, st in zip(nets, starts)
+    ]
+    stack = LaneStack(6, len(nets), 1, SATURATE, RESET_NONE)
+    for b, net in enumerate(nets):
+        stack.put(b, 1, net)
+    v = np.stack([st.v for st in starts])
+    s = np.stack([st.s for st in starts])
+    scanned = list(dynamics.first_revisit(stack, v, s, 100))
+    # lanes in retirement order, with (transient, period)
+    assert [(b, r.transient, r.period) for b, _, r in scanned] == [
+        (1, 0, 1), (0, 8, 1), (3, 10, 1), (2, 11, 1)
+    ]
+    assert scanned[0][1].any()  # the wide lane fires on its attractor
+    for b, rows, report in scanned:
+        assert report == alone[b][1]
+        assert rows.dtype == np.uint8 and rows.tolist() == alone[b][0].tolist()
 
 
 def test_batch_scan_object_mode_networks():

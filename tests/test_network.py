@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from intsnn import dynamics
 from intsnn.arith import SATURATE, SIGNED, UNSIGNED, WRAP, IntegerDomain, clamp
 from intsnn.network import (
     LaneStack,
@@ -246,12 +247,14 @@ def test_step_matches_reference_across_modes():
                         assert [int(x) for x in state.v] == ref_v
                         assert [int(x) for x in state.s] == ref_s
                     # a (B, n) batch steps every row as a single state
-                    # would; with 128 or more entries it sums in float32
+                    # would; both sum in float32, or in Python ints
                     starts = [
                         initial_state(net, seed=derive_seed(34, case, b))
                         for b in range(64)
                     ]
-                    assert (net._wt_float is None) == (bits == 64)
+                    assert net._wt_exec.dtype == (
+                        object if bits == 64 else np.float32
+                    )
                     batch_v = np.stack([st.v for st in starts])
                     batch_s = np.stack([st.s for st in starts])
                     for _ in range(4):
@@ -284,15 +287,14 @@ def test_lane_stack_steps_each_lane_by_its_network(overflow, reset):
             [(4, 3), (1 << 30, 12), (4, 16), (1 << 58, 5), (9, 1)]
         )
     ]
-    assert [None if n._wt_float is None else n._wt_float.dtype for n in nets] == [
-        np.float32, np.float64, np.float32, None, np.float32
+    assert [n._wt_exec.dtype for n in nets] == [
+        np.float32, np.float64, np.float32, np.int64, np.float32
     ]
     stack = LaneStack(4, 7, 2, overflow, reset)
     lanes = [0, 1, 1, 2, 3, 4, 4]
     for start, i in enumerate(lanes):
         stack.put(start, 1, nets[i])
     assert stack._wt_exec.dtype == np.int64
-    assert stack.key_dtype == np.int16
     starts = [initial_state(nets[i], seed=derive_seed(43, b)) for b, i in enumerate(lanes)]
     v = np.stack([st.v for st in starts])
     s = np.stack([st.s for st in starts])
@@ -306,7 +308,6 @@ def test_lane_stack_steps_each_lane_by_its_network(overflow, reset):
             stack, v, s, lanes = (
                 stack.take_lanes(keep), v[keep], s[keep], [lanes[k] for k in keep]
             )
-            assert stack.key_dtype == np.int16
     wide = Network(n=4, weights=np.zeros((4, 4), dtype=np.int64),
                    thresholds=np.ones(4, dtype=np.int64), leak_k=2,
                    domain=IntegerDomain(64, SIGNED, overflow), reset_mode=reset)
@@ -409,24 +410,67 @@ def test_object_mode_only_when_int64_could_overflow():
     assert out.s.tolist() == [1, 1]
 
 
-def test_state_key_distinguishes_states():
-    for bits in (8, 64):
+@pytest.mark.parametrize(
+    "scale, bits, dtype",
+    [(4, 3, np.float32), (1 << 30, 12, np.float64), (1 << 58, 5, np.int64),
+     (4, 64, object)],
+)
+def test_single_state_steps_exactly_in_every_sum_dtype(scale, bits, dtype):
+    # One state sums in the network's one weight array, as a batch does:
+    # the narrowest exact type for its row sums, or Python ints.
+    net = Network(
+        n=4,
+        weights=generate_topology(4, 0.9, -scale, scale, seed=derive_seed(44, bits)),
+        thresholds=sample_thresholds(4, 1, 3, seed=derive_seed(45, bits)),
+        leak_k=2,
+        domain=IntegerDomain(bits, SIGNED, WRAP),
+        reset_mode=RESET_SUBTRACT,
+    )
+    assert net._wt_exec.dtype == dtype
+    state = initial_state(net, seed=derive_seed(46, bits))
+    fired = 0
+    for _ in range(6):
+        ref_v, ref_s = reference_step(net, state.v, state.s)
+        state = step(state, net)
+        assert state.v.dtype == net.state_dtype
+        assert [int(x) for x in state.v] == ref_v
+        assert [int(x) for x in state.s] == ref_s
+        fired += sum(ref_s)
+    assert fired  # the weights took part in the sums
+
+
+def test_state_key_distinguishes_states(monkeypatch):
+    real = dynamics._state_keys
+    for bits, signedness, want in [
+        (8, UNSIGNED, np.uint8), (8, SIGNED, np.int8),
+        (64, UNSIGNED, np.uint64), (64, SIGNED, np.int64),
+    ]:
         net = Network(
             n=2,
             weights=np.zeros((2, 2), dtype=np.int64),
             thresholds=np.array([4, 4]),
             leak_k=1,
-            domain=IntegerDomain(bits),
+            domain=IntegerDomain(bits, signedness),
         )
-        top = net.domain.max_value
-        v = np.array([[1, 2], [2, 1], [1, 2], [top, 1], [top - 1, 1]],
+        # the scan keys potentials in the narrowest dtype of the domain
+        used = []
+        monkeypatch.setattr(
+            dynamics, "_state_keys",
+            lambda v, s, dtype: used.append(dtype) or real(v, s, dtype),
+        )
+        init = initial_state(net, seed=7)
+        next(dynamics.first_revisit(net, init.v[None], init.s[None], 4))
+        monkeypatch.undo()
+        assert set(used) == {want}
+        top, bottom = net.domain.max_value, net.domain.min_value
+        v = np.array([[1, 2], [2, 1], [1, 2], [top, 1], [top - 1, 1], [bottom, 1]],
                      dtype=net.state_dtype)
-        s = np.array([[0, 0], [0, 0], [0, 1], [0, 0], [0, 0]])
-        keys = net.state_keys(v, s)
-        assert len(set(keys)) == 5
+        s = np.array([[0, 0], [0, 0], [0, 1], [0, 0], [0, 0], [0, 0]])
+        keys = real(v, s, want)
+        assert len(set(keys)) == 6
         # v in the narrowest dtype of the domain, then one byte of spikes
         assert {len(k) for k in keys} == {2 * bits // 8 + 1}
-        assert net.state_keys(v[:1], s[:1]) == keys[:1]
+        assert real(v[:1], s[:1], want) == keys[:1]
 
 
 def test_json_round_trip():
