@@ -94,16 +94,18 @@ def first_revisit(
     keeps a map from visited state to first-visit time, keyed on the
     exact bytes of _state_keys. Their potentials take the narrowest
     integer dtype that holds every lane's domain, picked at the start
-    and kept for the whole scan. On the first revisit at time t2 of a
-    state first seen at t1 the lane reports transient t1 and period
-    t2 - t1. The first repeat of a deterministic map is always the cycle
-    entry state, so the transient is exact. The lane then retires: the
-    scan yields (b, rows, report), where rows are its uint8 spike rows
-    of steps 1..t2, rebuilt from the map's keys in insertion order (the
-    row at t2 is the row at t1), and drops the map. Lanes with no repeat
-    within `horizon` steps are yielded censored after the last tick,
-    with all `horizon` rows. So time and memory follow t2, not the
-    horizon.
+    and kept for the whole scan. Without reset every stepped state has
+    s = spikes_of(v), so the key is v alone; a start whose s0 differs
+    can never recur and is keyed None, which no later key matches. On
+    the first revisit at time t2 of a state first seen at t1 the lane
+    reports transient t1 and period t2 - t1. The first repeat of a
+    deterministic map is always the cycle entry state, so the transient
+    is exact. The lane then retires: the scan yields (b, rows, report),
+    where rows are its uint8 spike rows of steps 1..t2, rebuilt from the
+    map's keys in insertion order (the row at t2 is the row at t1), and
+    drops the map. Lanes with no repeat within `horizon` steps are
+    yielded censored after the last tick, with all `horizon` rows. So
+    time and memory follow t2, not the horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -112,16 +114,23 @@ def first_revisit(
     # Picked once: lanes that retire never narrow the keys of the rest.
     lo, hi = int(np.min(net._lo)), int(np.max(net._hi))
     dtype = next(d for d, d_lo, d_hi in _KEY_DTYPES if d_lo <= lo and hi <= d_hi)
+    spiked = net.reset_mode != RESET_NONE  # whether a key holds the spikes
+    # Each live lane's thresholds, from which _retire rebuilds v-only rows.
+    th = np.broadcast_to(net._th_exec, v.shape)
+    keys = _state_keys(v, s if spiked else None, dtype)
+    if not spiked:
+        recurs = (s == (v >= th)).all(axis=1).tolist()
+        keys = [key if ok else None for key, ok in zip(keys, recurs)]
     # Insertion order is visit order, so a map needs no times.
-    seen = [{key: None} for key in _state_keys(v, s, dtype)]
+    seen = [{key: None} for key in keys]
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
         retired = {}
-        for i, key in enumerate(_state_keys(v, s, dtype)):
+        for i, key in enumerate(_state_keys(v, s if spiked else None, dtype)):
             if key not in seen[i]:
                 seen[i][key] = None
             else:
-                retired[i] = _retire(net, seen[i], key, t, dtype)
+                retired[i] = _retire(seen[i], key, t, dtype, th[i], spiked)
                 seen[i] = None
         if not retired:
             continue
@@ -130,30 +139,33 @@ def first_revisit(
         keep = [i for i in range(len(lanes)) if i not in retired]
         if not keep:
             return
-        net, v, s = net.take_lanes(keep), v[keep], s[keep]
+        net, v, s, th = net.take_lanes(keep), v[keep], s[keep], th[keep]
         lanes, seen = [lanes[i] for i in keep], [seen[i] for i in keep]
     for i, lane in enumerate(lanes):
-        rows, report = _retire(net, seen[i], None, horizon, dtype)
+        rows, report = _retire(seen[i], None, horizon, dtype, th[i], spiked)
         seen[i] = None
         yield lane, rows, report
 
 
-def _state_keys(v: np.ndarray, s: np.ndarray, dtype) -> list[bytes]:
-    """Exact bytes of each (v, s) row of a (B, n) batch: v in `dtype`,
-    which must hold every potential, then the spikes packed eight to a
-    byte."""
-    packed = np.packbits(s, axis=-1)
-    buf = np.concatenate((v.astype(dtype).view(np.uint8), packed), axis=-1)
+def _state_keys(v: np.ndarray, s: np.ndarray | None, dtype) -> list[bytes]:
+    """Exact bytes of each row of a (B, n) batch: v in `dtype`, which
+    must hold every potential, then, unless s is None, the spikes packed
+    eight to a byte."""
+    buf = v.astype(dtype).view(np.uint8)
+    if s is not None:
+        buf = np.concatenate((buf, np.packbits(s, axis=-1)), axis=-1)
     return buf.view(f"V{buf.shape[-1]}")[:, 0].tolist()
 
 
 def _retire(
-    net: Network, visits: dict, key: bytes | None, t: int, dtype
+    visits: dict, key: bytes | None, t: int, dtype, th: np.ndarray, spiked: bool
 ) -> tuple[np.ndarray, CycleReport]:
     """The uint8 spike rows of steps 1..t and the report of a lane whose
     map holds its states at times 0..t - 1, keyed by _state_keys in
     `dtype`, and whose state at t has `key`, a revisit; None for a lane
-    censored at horizon t."""
+    censored at horizon t. Keys that hold the spikes (`spiked`) are
+    unpacked; v-only keys are compared with the lane's thresholds `th`,
+    as spikes_of does."""
     keys = list(visits)
     if key is None:
         report = CycleReport(CENSORED)
@@ -162,9 +174,15 @@ def _retire(
         report = CycleReport(DETECTED, first, t - first)
         keys.append(key)
     del keys[0]
+    n = len(th)
     flat = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-    skip = net.n * np.dtype(dtype).itemsize
-    return np.unpackbits(flat[:, skip:], axis=1, count=net.n), report
+    skip = n * np.dtype(dtype).itemsize
+    if spiked:
+        return np.unpackbits(flat[:, skip:], axis=1, count=n), report
+    v = flat.view(dtype)
+    if not np.can_cast(v.dtype, th.dtype):  # uint64 keys, int64 thresholds
+        v = v.astype(th.dtype)
+    return (v >= th).astype(np.uint8), report
 
 
 def _batch_revisits(

@@ -98,7 +98,7 @@ def pseudo_rank(
     all-zero columns are discarded first; none changes the rank. What
     is left, A, is eliminated modulo a prime through its Gram matrix
     AᵀA, which has the rank of A over Q (|Ax|² = xᵀAᵀAx), or as it is
-    when AᵀA could leave int64. A kernel certificate checked against A
+    when a sum of AᵀA could pass 2^53. A kernel certificate checked against A
     proves that rank exact; when it fails, fraction-free (Bareiss)
     elimination gives the rank instead. There is no floating-point
     tolerance anywhere; a raster holding anything but integers in int64
@@ -135,8 +135,8 @@ def pseudo_rank(
             )
         tail = tail.astype(np.int64)
     width = tail.shape[1] * tail.itemsize
-    data = tail.tobytes()
-    kept = dict.fromkeys(data[k : k + width] for k in range(0, len(data), width))
+    rows = np.ascontiguousarray(tail).view(f"V{width}")[:, 0].tolist()
+    kept = dict.fromkeys(rows)
     kept.pop(bytes(width), None)
     if memo is not None:
         key = (tail.dtype.str, width, frozenset(kept))
@@ -159,8 +159,9 @@ _BLOCK = 64
 def _modular_rank(mat: np.ndarray) -> int:
     """Rank over the rationals of an integer matrix A (m x c), certified.
 
-    The c x c Gram matrix G = AᵀA is eliminated in place of A when it
-    is exact in int64, that is when max|A|² * m < 2^63. G has the rank
+    The c x c Gram matrix G = AᵀA is eliminated in place of A when
+    float64 forms it exactly, that is when max|A|² * m < 2^53, as for
+    every 0/1 window of fewer than 2^53 rows. G has the rank
     of A over Q: xᵀAᵀAx = |Ax|², so Gx = 0 forces Ax = 0, and G has
     A's column dependencies. Otherwise A itself is eliminated.
 
@@ -172,12 +173,16 @@ def _modular_rank(mat: np.ndarray) -> int:
     kernel vectors prove the rank over Q is at most r. When the check
     fails, Bareiss elimination decides.
     """
-    work = mat.astype(np.int64)
     # initial=0: the 0 x 0 window left when every row is zero has no max.
-    largest = max(int(work.max(initial=0)), -int(work.min(initial=0)))
-    if largest * largest * len(work) < 2**63:
-        # A contiguous copy of Aᵀ multiplies faster than the strided view.
-        work = np.ascontiguousarray(work.T) @ work
+    largest = max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
+    if largest * largest * len(mat) < 2**53:
+        # Every partial sum is an integer below 2^53, so the float64
+        # BLAS product is exact in any summation order.
+        a = mat.astype(np.float64)
+        work = (a.T @ a).astype(np.int64)
+        del a  # the m x c copy need not outlive the product
+    else:
+        work = mat.astype(np.int64)
     rank = _certified_rank(work, mat)
     if rank is None:
         rank = _fraction_free_rank(mat.tolist())

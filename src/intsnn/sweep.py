@@ -353,13 +353,13 @@ def _cohorts(grid: SweepGrid) -> list[list[tuple[int, float, int, int]]]:
 
 
 def _cohort_scans(grid: SweepGrid, cells) -> list[tuple]:
-    """(network, cells, v, s) for each batch of a cohort to scan: one
-    LaneStack of its int64 networks, filled network by network, then
-    each object-mode network with its own seeds as lanes."""
-    stack = LaneStack(
-        cells[0][0], len(cells), grid.leak_k, grid.overflow_mode, grid.reset_mode
-    )
-    # (network, cells, initial states) of each object-mode network
+    """(network, cells, v, s) for each batch of a cohort to scan: its
+    int64 networks, then each object-mode network with its own seeds as
+    lanes. One int64 network steps its lanes itself; two or more step
+    as one LaneStack, filled network by network."""
+    # the int64 networks' lanes, on `single` until a second one needs
+    # a stack, and (network, cells, initial states) of each other batch
+    single = stack = None
     batches, stacked, inits = [], [], []
     for key, group in itertools.groupby(cells, key=lambda c: c[:3]):
         group = list(group)
@@ -371,14 +371,21 @@ def _cohort_scans(grid: SweepGrid, cells) -> list[tuple]:
             ]
         if net.state_dtype is object:
             batches.append((net, group, starts))
+            continue
+        if single is None:
+            single = net
         else:
+            if stack is None:
+                stack = LaneStack(cells[0][0], len(cells), grid.leak_k,
+                                  grid.overflow_mode, grid.reset_mode)
+                stack.put(0, len(stacked), single)
             stack.put(len(stacked), len(group), net)
-            stacked += group
-            inits += starts
+        stacked += group
+        inits += starts
+    if stack is not None and len(stacked) < len(cells):
+        stack = stack.take_lanes(list(range(len(stacked))))
     if stacked:
-        if len(stacked) < len(cells):
-            stack = stack.take_lanes(list(range(len(stacked))))
-        batches.insert(0, (stack, stacked, inits))
+        batches.insert(0, (single if stack is None else stack, stacked, inits))
     scans = []
     for net, group, starts in batches:
         v = np.stack([init.v for init in starts])

@@ -37,6 +37,7 @@ from intsnn.network import (
     generate_topology,
     initial_state,
     sample_thresholds,
+    step,
 )
 from intsnn.rng import derive_seed
 
@@ -499,6 +500,46 @@ def test_lane_stack_scan_keeps_its_keys_when_the_widest_lane_retires():
     for b, rows, report in scanned:
         assert report == alone[b][1]
         assert rows.dtype == np.uint8 and rows.tolist() == alone[b][0].tolist()
+
+
+def walk_first_revisit(net, state, horizon):
+    """(transient, period) of the first revisit of a full (v, s) state,
+    walked one step at a time."""
+    seen = {}
+    for t in range(horizon + 1):
+        key = (tuple(map(int, state.v)), tuple(map(int, state.s)))
+        if key in seen:
+            return seen[key], t - seen[key]
+        seen[key] = t
+        state = step(state, net)
+    return None
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+def test_reset_free_start_off_the_threshold_rule_is_never_revisited(bits):
+    # Without reset the scan keys a state on v alone. A start whose
+    # spikes are not spikes_of(v0) shares v with its successor here,
+    # (0, 1) -> (0, 0) -> (0, 0), yet is a different state: the scan
+    # reads transient 1, as the walk over full (v, s) states does.
+    net = Network(
+        n=3,
+        weights=np.zeros((3, 3), dtype=np.int64),
+        thresholds=np.array([4, 5, 6]),
+        leak_k=1,
+        domain=IntegerDomain(bits),
+    )
+    assert net.state_dtype is (np.int64 if bits == 8 else object)
+    v = np.zeros((2, 3), dtype=net.state_dtype)
+    s = np.array([[1, 1, 1], net.spikes_of(v[1])])
+    scanned = sorted(dynamics.first_revisit(net, v, s, 10), key=lambda x: x[0])
+    for (lane, rows, report), lane_v, lane_s in zip(scanned, v, s):
+        want = walk_first_revisit(net, NetworkState(lane_v, lane_s), 10)
+        assert (report.status, report.transient, report.period) == (
+            DETECTED, *want
+        )
+        assert rows.dtype == np.uint8 and rows.shape == (sum(want), 3)
+        assert not rows.any()
+    assert [r.transient for _, _, r in scanned] == [1, 0]
 
 
 def test_batch_scan_object_mode_networks():

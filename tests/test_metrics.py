@@ -309,16 +309,17 @@ def test_tall_rank_deficient_windows_are_certified_against_the_window(
                           "fallback": 0}
 
 
-def test_exactness_guard_forms_the_gram_matrix_below_2_63(rank_paths):
-    # max|A|^2 * m must stay below 2^63: with 8 rows, entries up to
-    # 2^30 - 1 go through AᵀA and an entry of -2^30 does not. Column 2
-    # is the sum of the others, so each rank is certified by the check.
+def test_exactness_guard_forms_the_gram_matrix_below_2_53(rank_paths):
+    # max|A|^2 * m must stay below 2^53, where float64 sums integers
+    # exactly: with 8 rows, entries up to 2^25 - 1 go through AᵀA and an
+    # entry of -2^25 does not. Column 2 is the sum of the others, so each
+    # rank is certified by the check.
     rng = np.random.default_rng(34)
-    mat = rng.integers(-(1 << 28), 1 << 28, size=(8, 3))
-    for x, y in (((1 << 30) - 6, 5), (-(1 << 30) + 6, -6)):
+    mat = rng.integers(-(1 << 23), 1 << 23, size=(8, 3))
+    for x, y in (((1 << 25) - 6, 5), (-(1 << 25) + 6, -6)):
         mat[0, :2] = x, y
         mat[:, 2] = mat[:, 0] + mat[:, 1]
-        assert int(np.abs(mat).max()) == (1 << 30) - (x > 0)
+        assert int(np.abs(mat).max()) == (1 << 25) - (x > 0)
         before = rank_paths["gram"]
         assert metrics._modular_rank(mat) == 2 == fraction_rank(mat)
         assert rank_paths["gram"] - before == (x > 0)

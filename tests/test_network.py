@@ -445,30 +445,44 @@ def test_state_key_distinguishes_states(monkeypatch):
         (8, UNSIGNED, np.uint8), (8, SIGNED, np.int8),
         (64, UNSIGNED, np.uint64), (64, SIGNED, np.int64),
     ]:
-        net = Network(
-            n=2,
-            weights=np.zeros((2, 2), dtype=np.int64),
-            thresholds=np.array([4, 4]),
-            leak_k=1,
-            domain=IntegerDomain(bits, signedness),
-        )
-        # the scan keys potentials in the narrowest dtype of the domain
-        used = []
-        monkeypatch.setattr(
-            dynamics, "_state_keys",
-            lambda v, s, dtype: used.append(dtype) or real(v, s, dtype),
-        )
-        init = initial_state(net, seed=7)
-        next(dynamics.first_revisit(net, init.v[None], init.s[None], 4))
-        monkeypatch.undo()
-        assert set(used) == {want}
-        top, bottom = net.domain.max_value, net.domain.min_value
+        nets = [
+            Network(
+                n=2,
+                weights=np.zeros((2, 2), dtype=np.int64),
+                thresholds=np.array([4, 4]),
+                leak_k=1,
+                domain=IntegerDomain(bits, signedness),
+                reset_mode=reset,
+            )
+            for reset in (RESET_NONE, RESET_SUBTRACT)
+        ]
+        for net in nets:
+            # the scan keys potentials in the narrowest dtype of the
+            # domain, and packs spikes only where reset makes them part
+            # of the state
+            used = []
+            monkeypatch.setattr(
+                dynamics, "_state_keys",
+                lambda v, s, dtype: used.append((dtype, s is None))
+                or real(v, s, dtype),
+            )
+            init = initial_state(net, seed=7)
+            next(dynamics.first_revisit(net, init.v[None], init.s[None], 4))
+            monkeypatch.undo()
+            assert set(used) == {(want, net.reset_mode == RESET_NONE)}
+        top, bottom = nets[0].domain.max_value, nets[0].domain.min_value
         v = np.array([[1, 2], [2, 1], [1, 2], [top, 1], [top - 1, 1], [bottom, 1]],
-                     dtype=net.state_dtype)
+                     dtype=nets[0].state_dtype)
         s = np.array([[0, 0], [0, 0], [0, 1], [0, 0], [0, 0], [0, 0]])
+        # without reset, v alone in the narrowest dtype of the domain
+        keys = real(v, None, want)
+        assert len(set(keys)) == 5 and keys[0] == keys[2]
+        assert {len(k) for k in keys} == {2 * bits // 8}
+        assert real(v[:1], None, want) == keys[:1]
+        # with reset, v and then one byte of spikes: rows 0 and 2 differ
+        # in their spikes alone
         keys = real(v, s, want)
         assert len(set(keys)) == 6
-        # v in the narrowest dtype of the domain, then one byte of spikes
         assert {len(k) for k in keys} == {2 * bits // 8 + 1}
         assert real(v[:1], s[:1], want) == keys[:1]
 

@@ -25,7 +25,7 @@ from intsnn.metrics import (
     pseudo_rank,
 )
 from intsnn import metrics, sweep
-from intsnn.network import Network, NetworkState, initial_state
+from intsnn.network import LaneStack, Network, NetworkState, initial_state
 from intsnn.sweep import (
     DEFAULT_MASTER_SEED,
     CellError,
@@ -433,39 +433,47 @@ def test_cohorts_pack_whole_networks_of_one_size():
 
 def test_cohort_records_match_naive_pipeline_and_lone_cells():
     # Every mode, bit widths 1..16 with 63 and 64 (object mode), n = 1,
-    # 3 seeds a network, horizons 1, 2, 7 and 1000: cohorts of 6 lanes
-    # that mix bit widths, and a last one (bits 63 and 64) that can mix
-    # stacked and object-mode networks.
+    # horizons 1, 2, 7 and 1000. With 3 seeds a network, cohorts of 6
+    # lanes mix bit widths on a lane stack, and a last one (bits 63 and
+    # 64) can mix stacked and object-mode networks. With 5 seeds every
+    # cohort holds one network, which steps its lanes itself.
     modes = itertools.product(
         ("unsigned", "signed"), ("saturate", "wrap"), ("none", "subtract_threshold")
     )
     t2s, mixed = set(), 0
     for case, (signedness, overflow, reset) in enumerate(modes):
-        grid = SweepGrid(
-            sizes=[1, 6],
-            densities=[0.6],
-            bit_widths=[*range(1, 17), 63, 64],
-            horizon=(1, 2, 7, 1000)[case % 4],
-            seeds_per_cell=3,
-            master_seed=40 + case,
-            threshold_range=(1, 6),
-            signedness=signedness,
-            overflow_mode=overflow,
-            reset_mode=reset,
-        )
-        records = run_grid(grid, workers=1)
-        assert len(records) == 108
-        assert run_grid(grid, workers=2) == records
-        for r in records:
-            assert r == run_cell(grid, r.n, r.density, r.bits, r.seed), r.run_id
-            rate, active, rank, cycle = naive_measurements(
-                grid, r.n, r.density, r.bits, r.seed
+        for seeds in (3, 5):
+            grid = SweepGrid(
+                sizes=[1, 6],
+                densities=[0.6],
+                bit_widths=[*range(1, 17), 63, 64],
+                horizon=(1, 2, 7, 1000)[case % 4],
+                seeds_per_cell=seeds,
+                master_seed=40 + case,
+                threshold_range=(1, 6),
+                signedness=signedness,
+                overflow_mode=overflow,
+                reset_mode=reset,
             )
-            assert (r.mean_firing_rate, r.active_fraction, r.pseudo_rank) == (
-                rate, active, rank
-            ), r.run_id
-            assert r.cycle == cycle, r.run_id
-            t2s.add(r.cycle.transient + r.cycle.period if cycle.period else None)
+            stepped_by = {
+                type(net)
+                for cells in sweep._cohorts(grid)
+                for net, *_ in sweep._cohort_scans(grid, cells)
+            }
+            assert stepped_by == ({Network} if seeds == 5 else {Network, LaneStack})
+            records = run_grid(grid, workers=1)
+            assert len(records) == 36 * seeds
+            assert run_grid(grid, workers=2) == records
+            for r in records:
+                assert r == run_cell(grid, r.n, r.density, r.bits, r.seed), r.run_id
+                rate, active, rank, cycle = naive_measurements(
+                    grid, r.n, r.density, r.bits, r.seed
+                )
+                assert (r.mean_firing_rate, r.active_fraction, r.pseudo_rank) == (
+                    rate, active, rank
+                ), r.run_id
+                assert r.cycle == cycle, r.run_id
+                t2s.add(r.cycle.transient + r.cycle.period if cycle.period else None)
         dtypes = [build_network(grid, 6, 0.6, bits).state_dtype for bits in (63, 64)]
         mixed += dtypes == [np.int64, object]
     # lanes retired at step 1 and at the horizon, censored lanes, and a
@@ -514,7 +522,7 @@ def test_cohort_ranks_each_distinct_row_set_once(monkeypatch):
 
 def test_cohort_job_memory_is_bounded():
     # One full cohort at n = 74, bits 9..16, with 4 of its 8 lanes
-    # censored at horizon 1000: its traced peak measured 1.56 MB (2^20 B).
+    # censored at horizon 1000: its traced peak measured 1.54 MB (2^20 B).
     grid = SweepGrid(sizes=[74], densities=[0.9], bit_widths=list(range(9, 17)),
                      master_seed=13)
     (cells,) = sweep._cohorts(grid)

@@ -1,14 +1,15 @@
 """Alternating parent/change benchmark pairs, summarised in one JSON file.
 
     python3 tools/bench_pairs.py --parent REV --change REV --label NAME \\
-        grid=7919,1,2,3,4 focused=7919,1,2,3,4 grid_pool=7919,1,2 oracle=7919,1,2
+        grid=7919,1,2,3 focused=7919,1,2,3 grid_pool=7919,1 oracle=7919,1
 
 Each revision is exported with `git archive` into its own temporary
 directory (under $TMPDIR), so uncommitted files never leak into a run;
 for uncommitted work pass the commit that `git stash create` prints.
 Every seed of a workload is one pair: the benchmark command of
 BENCHMARK.json runs once in each export, the parent first in even pairs
-and the change first in odd ones. Workloads run one after another.
+and the change first in odd ones, so a workload takes an even number of
+seeds. Workloads run one after another.
 
 The result goes to BENCH_<label>.json at the root of this checkout. It
 holds every run (workload, seed, pair, side, which side ran first, the
@@ -192,6 +193,8 @@ def summarize(runs: list[dict], better: dict[str, str],
 
 
 def parse_plan(specs: list[str]) -> list[tuple[str, list[int]]]:
+    """(workload, seeds) of each WORKLOAD=SEED,SEED,... spec. A workload
+    needs an even number of seeds, so each side runs first as often."""
     plan = []
     for spec in specs:
         workload, sep, seeds = spec.partition("=")
@@ -201,6 +204,11 @@ def parse_plan(specs: list[str]) -> list[tuple[str, list[int]]]:
             plan.append((workload, [int(s) for s in seeds.split(",")]))
         except ValueError:
             raise SystemExit(f"bad plan {spec!r}: want WORKLOAD=SEED,SEED,...") from None
+        if len(plan[-1][1]) % 2:
+            raise SystemExit(
+                f"bad plan {spec!r}: want an even number of seeds, so the "
+                f"parent and the change each run first in half the pairs"
+            )
     return plan
 
 
