@@ -98,11 +98,12 @@ def pseudo_rank(
     all-zero columns are discarded first; none changes the rank. What
     is left, A, is eliminated modulo a prime through its Gram matrix
     AᵀA, which has the rank of A over Q (|Ax|² = xᵀAᵀAx), or as it is
-    when a sum of AᵀA could pass 2^53. A kernel certificate checked against A
-    proves that rank exact; when it fails, fraction-free (Bareiss)
-    elimination gives the rank instead. There is no floating-point
-    tolerance anywhere; a raster holding anything but integers in int64
-    range is refused. `window` defaults to min(500, T // 2).
+    when a sum of AᵀA could pass 2^53. A kernel certificate checked
+    against A proves that rank exact; when it fails, fraction-free
+    (Bareiss) elimination gives the rank instead. There is no
+    floating-point tolerance anywhere; a raster holding anything but
+    integers in int64 range is refused. `window` defaults to
+    min(500, T // 2).
 
     A caller ranking many windows may pass one `memo` dict to them all.
     It maps (dtype, row width in bytes, set of distinct nonzero rows) to

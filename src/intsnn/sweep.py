@@ -376,8 +376,10 @@ def _cohort_scans(grid: SweepGrid, cells) -> list[tuple]:
             single = net
         else:
             if stack is None:
-                stack = LaneStack(cells[0][0], len(cells), grid.leak_k,
-                                  grid.overflow_mode, grid.reset_mode)
+                stack = LaneStack(
+                    cells[0][0], len(cells), grid.leak_k, grid.overflow_mode,
+                    grid.reset_mode,
+                )
                 stack.put(0, len(stacked), single)
             stack.put(len(stacked), len(group), net)
         stacked += group
