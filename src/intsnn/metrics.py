@@ -94,14 +94,17 @@ def pseudo_rank(
 ) -> int:
     """Exact rank over the rationals of the last `window` raster rows.
 
-    Duplicate rows (one pass over the window's bytes), the zero row and
-    all-zero columns are discarded first; none changes the rank. What
-    is left, A, is eliminated modulo a prime through its Gram matrix
-    AᵀA, which has the rank of A over Q (|Ax|² = xᵀAᵀAx), or as it is
-    when a sum of AᵀA could pass 2^53. A kernel certificate checked
-    against A proves that rank exact; when it fails, fraction-free
-    (Bareiss) elimination gives the rank instead. There is no
-    floating-point tolerance anywhere; a raster holding anything but
+    Duplicate rows (one pass over the window's bytes) and the zero row
+    are discarded first, then, after the memo lookup, duplicate and
+    all-zero columns (one pass over the bytes of the transpose); none
+    changes the rank. The rows stay distinct: two rows that differ in a
+    column differ in its kept twin. What is left, A, goes to
+    `_modular_rank`, which proves full rank with an exact check on a
+    rounded inverse of the smaller Gram matrix, and otherwise
+    eliminates modulo a prime through AᵀA, certifies the rank found
+    there with kernel vectors checked against A, and falls back to
+    fraction-free (Bareiss) elimination when that check fails. There is
+    no floating-point tolerance anywhere; a raster holding anything but
     integers in int64 range is refused. `window` defaults to
     min(500, T // 2).
 
@@ -135,19 +138,30 @@ def pseudo_rank(
                 "integer in int64 range"
             )
         tail = tail.astype(np.int64)
-    width = tail.shape[1] * tail.itemsize
-    rows = np.ascontiguousarray(tail).view(f"V{width}")[:, 0].tolist()
-    kept = dict.fromkeys(rows)
-    kept.pop(bytes(width), None)
+    kept = _distinct_nonzero_rows(tail)
     if memo is not None:
-        key = (tail.dtype.str, width, frozenset(kept))
+        key = (tail.dtype.str, tail.shape[1] * tail.itemsize, frozenset(kept))
         if key in memo:
             return memo[key]
-    mat = np.frombuffer(b"".join(kept), dtype=tail.dtype).reshape(-1, tail.shape[1])
-    rank = _modular_rank(mat[:, mat.any(axis=0)])
+    rank = 0
+    if kept:
+        rows = np.frombuffer(b"".join(kept), dtype=tail.dtype)
+        columns = _distinct_nonzero_rows(rows.reshape(len(kept), -1).T)
+        mat = np.frombuffer(b"".join(columns), dtype=tail.dtype)
+        rank = _modular_rank(mat.reshape(len(columns), -1).T)
     if memo is not None:
         memo[key] = rank
     return rank
+
+
+def _distinct_nonzero_rows(mat: np.ndarray) -> list[bytes]:
+    """The bytes of each distinct nonzero row of `mat`, in order of
+    first appearance."""
+    width = mat.shape[1] * mat.itemsize
+    rows = np.ascontiguousarray(mat).view(f"V{width}")[:, 0].tolist()
+    kept = dict.fromkeys(rows)
+    kept.pop(bytes(width), None)
+    return list(kept)
 
 
 # A prime below 2^31, so the product of two residues fits in int64.
@@ -160,34 +174,87 @@ _BLOCK = 64
 def _modular_rank(mat: np.ndarray) -> int:
     """Rank over the rationals of an integer matrix A (m x c), certified.
 
-    The c x c Gram matrix G = AᵀA is eliminated in place of A when
-    float64 forms it exactly, that is when max|A|² * m < 2^53, as for
-    every 0/1 window of fewer than 2^53 rows. G has the rank
-    of A over Q: xᵀAᵀAx = |Ax|², so Gx = 0 forces Ax = 0, and G has
-    A's column dependencies. Otherwise A itself is eliminated.
+    When float64 forms both Gram matrices exactly, that is when
+    max|A|² * max(m, c) < 2^53, as for every 0/1 window of fewer than
+    2^53 rows and columns, the smaller one (AᵀA for a tall A, AAᵀ for a
+    wide one) is first offered to `_proves_nonsingular`. Either has the
+    rank of A over Q (xᵀAᵀAx = |Ax|², so AᵀAx = 0 forces Ax = 0), so a
+    nonsingular one proves rank min(m, c) with no elimination.
 
-    Elimination mod _P gives r = rank_p(G) (or rank_p(A)), and
-    rank_p(G) <= rank_Q(G) = rank_Q(A), since a minor that is nonzero
-    mod _P is nonzero. So r is exact when it equals min(m, c). Otherwise each free column's
-    kernel vector is read from the reduced echelon form as integers
-    and checked exactly against A, never against G; c - r independent
-    kernel vectors prove the rank over Q is at most r. When the check
-    fails, Bareiss elimination decides.
+    Otherwise the c x c Gram matrix G = AᵀA is eliminated, or A itself
+    when the bound above fails. Elimination mod _P gives r = rank_p(G)
+    (or rank_p(A)), and rank_p(G) <= rank_Q(G) = rank_Q(A), since a
+    minor that is nonzero mod _P is nonzero. So r is exact when it
+    equals min(m, c). Otherwise each free column's kernel vector is
+    read from the reduced echelon form as integers and checked exactly
+    against A, never against G; c - r independent kernel vectors prove
+    the rank over Q is at most r. G keeps A's column dependencies, so it
+    is not transposed for a wide A: AAᵀ would read A's left kernel,
+    which can need denominators where the right kernel does not. When
+    the check fails, Bareiss elimination decides.
     """
+    rows, cols = mat.shape
     # initial=0: the 0 x 0 window left when every row is zero has no max.
     largest = max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
-    if largest * largest * len(mat) < 2**53:
+    if largest * largest * max(rows, cols) < 2**53:
         # Every partial sum is an integer below 2^53, so the float64
-        # BLAS product is exact in any summation order.
+        # BLAS products are exact in any summation order.
         a = mat.astype(np.float64)
-        work = (a.T @ a).astype(np.int64)
+        if rows < cols and _proves_nonsingular(a @ a.T):
+            return rows
+        work = a.T @ a
         del a  # the m x c copy need not outlive the product
+        if rows >= cols and _proves_nonsingular(work):
+            return cols
+        work = work.astype(np.int64)
     else:
         work = mat.astype(np.int64)
     rank = _certified_rank(work, mat)
     if rank is None:
         rank = _fraction_free_rank(mat.tolist())
     return rank
+
+
+def _proves_nonsingular(gram: np.ndarray) -> bool:
+    """Whether the float64 matrix `gram`, which holds integers, is proved
+    nonsingular by an exact check.
+
+    X = `_scaled_inverse(gram)` is an integer matrix, and H = X · gram
+    is formed exactly. If H is strictly diagonally dominant it is
+    nonsingular (Levy–Desplanques), and det H = det X · det gram, so
+    gram is too. The inverse only proposes X: a singular gram gives a
+    singular H, which no X makes diagonally dominant.
+    """
+    x = _scaled_inverse(gram)
+    if x is None:
+        return False
+    # Each row of |X| · |gram| sums below 2^53, so every partial sum of
+    # H and of a row of |H| is an integer below 2^53, exact in float64
+    # in any order, and so is the comparison.
+    h = np.abs(x @ gram)
+    return bool((2 * np.diagonal(h) > h.sum(axis=1)).all())
+
+
+def _scaled_inverse(gram: np.ndarray) -> np.ndarray | None:
+    """rint(s · inv(gram)) in float64, with s chosen so that each row of
+    |X| · |gram| sums below 2^53; None when `inv` fails, its result is
+    not finite, or the bound does not hold."""
+    try:
+        approx = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(approx).all():
+        return None
+    norms = np.abs(gram).sum(axis=1)
+    spread = float((np.abs(approx) @ norms).max(initial=0))
+    if not 0 < spread < np.inf:  # a zero X proves nothing
+        return None
+    x = np.rint(approx * (2.0**50 / spread))
+    # The float sums of nonnegative terms below are within a factor
+    # 1 + 2c·2^-53 of the exact ones, so 2^52 leaves room to spare.
+    if not (np.abs(x) @ norms).max(initial=0) < 2.0**52:
+        return None
+    return x
 
 
 def _certified_rank(work: np.ndarray, mat: np.ndarray) -> int | None:

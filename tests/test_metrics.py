@@ -180,12 +180,20 @@ def test_pseudo_rank_memo_keys_on_dtype_and_width():
 
 @pytest.fixture
 def rank_paths(monkeypatch):
-    """Counts, while the test runs, of ranks decided on the Gram matrix
-    AᵀA, of kernel checks run and passed, and of Bareiss fallbacks."""
-    counts = {"gram": 0, "checked": 0, "certified": 0, "fallback": 0}
+    """Counts, while the test runs, of full ranks proved by the inverse
+    check, of ranks decided by elimination of the Gram matrix AᵀA, of
+    kernel checks run and passed, and of Bareiss fallbacks."""
+    counts = {"inverse": 0, "gram": 0, "checked": 0, "certified": 0,
+              "fallback": 0}
+    proves_nonsingular = metrics._proves_nonsingular
     certified_rank = metrics._certified_rank
     annihilates = metrics._annihilates
     fraction_free_rank = metrics._fraction_free_rank
+
+    def proved(gram):
+        nonsingular = proves_nonsingular(gram)
+        counts["inverse"] += nonsingular
+        return nonsingular
 
     def certified(work, mat):
         # A matrix equal to its own Gram matrix takes either path alike.
@@ -205,6 +213,7 @@ def rank_paths(monkeypatch):
         counts["fallback"] += 1
         return fraction_free_rank(work)
 
+    monkeypatch.setattr(metrics, "_proves_nonsingular", proved)
     monkeypatch.setattr(metrics, "_certified_rank", certified)
     monkeypatch.setattr(metrics, "_annihilates", check)
     monkeypatch.setattr(metrics, "_fraction_free_rank", fallback)
@@ -230,9 +239,9 @@ def planted_matrix(rng, rows, cols):
 
 
 def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
-    """Each planted window is ranked as it is, through its Gram matrix,
-    and scaled by 2^41, which the exactness guard keeps on the window
-    itself with the same rank and kernel."""
+    """Each planted window is ranked as it is, through the inverse check
+    or its Gram matrix, and scaled by 2^41, which the exactness guard
+    keeps on the window itself with the same rank and kernel."""
     rng = np.random.default_rng(2024)
     decided = {}
     fallbacks = {}
@@ -248,17 +257,24 @@ def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
             if step["fallback"]:
                 fallbacks[scale] = fallbacks.get(scale, 0) + 1
                 continue
-            key = ("gram" if step["gram"] else "plain",
-                   "certified" if step["certified"] else "shortcut")
+            if step["inverse"]:
+                key = "inverse"
+            else:
+                key = ("gram" if step["gram"] else "plain",
+                       "certified" if step["certified"] else "shortcut")
             decided[key] = decided.get(key, 0) + 1
-            assert step["gram"] == (scale == 1)
-    # The shortcut and the kernel certificate each decided many cases,
-    # on the Gram matrix or not. A dense near-square matrix can have a
+            assert step["inverse"] + step["gram"] == (scale == 1)
+    # At scale 1 the inverse check proved every full-rank window, so the
+    # Gram matrix was eliminated only to certify a lower rank. At 2^41
+    # the shortcut and the kernel certificate each decided many cases
+    # on the window itself. A dense near-square matrix can have a
     # kernel vector with rational entries, which the integer check
     # refuses; it falls back by design.
-    for where in ("gram", "plain"):
-        assert decided.get((where, "shortcut"), 0) >= 10
-        assert decided.get((where, "certified"), 0) >= 20
+    assert decided.get("inverse", 0) >= 20
+    assert ("gram", "shortcut") not in decided
+    assert decided.get(("gram", "certified"), 0) >= 15
+    assert decided.get(("plain", "shortcut"), 0) >= 10
+    assert decided.get(("plain", "certified"), 0) >= 20
     assert all(count <= 3 for count in fallbacks.values())
 
 
@@ -278,8 +294,8 @@ def test_tall_full_column_rank_returns_without_a_kernel_check(rank_paths):
         rows, cols = int(rng.integers(40, 121)), int(rng.integers(2, 25))
         mat = rng.integers(0, 2, size=(rows, cols))
         assert metrics._modular_rank(mat) == cols == fraction_rank(mat)
-    assert rank_paths == {"gram": 30, "checked": 0, "certified": 0,
-                          "fallback": 0}
+    assert rank_paths == {"inverse": 30, "gram": 0, "checked": 0,
+                          "certified": 0, "fallback": 0}
 
 
 def test_tall_rank_deficient_windows_are_certified_against_the_window(
@@ -305,8 +321,8 @@ def test_tall_rank_deficient_windows_are_certified_against_the_window(
     # One check per window, made against the tall window A itself and
     # never against its c x c Gram matrix.
     assert checked_shapes == shapes
-    assert rank_paths == {"gram": 30, "checked": 30, "certified": 30,
-                          "fallback": 0}
+    assert rank_paths == {"inverse": 0, "gram": 30, "checked": 30,
+                          "certified": 30, "fallback": 0}
 
 
 def test_exactness_guard_forms_the_gram_matrix_below_2_53(rank_paths):
@@ -323,8 +339,8 @@ def test_exactness_guard_forms_the_gram_matrix_below_2_53(rank_paths):
         before = rank_paths["gram"]
         assert metrics._modular_rank(mat) == 2 == fraction_rank(mat)
         assert rank_paths["gram"] - before == (x > 0)
-    assert rank_paths == {"gram": 1, "checked": 2, "certified": 2,
-                          "fallback": 0}
+    assert rank_paths == {"inverse": 0, "gram": 1, "checked": 2,
+                          "certified": 2, "fallback": 0}
 
 
 def test_wide_window_is_certified_on_its_right_kernel(rank_paths):
@@ -333,8 +349,166 @@ def test_wide_window_is_certified_on_its_right_kernel(rank_paths):
     # the right kernel, so the check passes without Bareiss.
     mat = np.array([[2, 4, 6], [1, 2, 3]])
     assert pseudo_rank(mat, window=2) == 1 == fraction_rank(mat)
-    assert rank_paths == {"gram": 1, "checked": 1, "certified": 1,
-                          "fallback": 0}
+    assert rank_paths == {"inverse": 0, "gram": 1, "checked": 1,
+                          "certified": 1, "fallback": 0}
+
+
+def test_wide_full_row_rank_is_proved_on_the_row_gram_matrix(
+    rank_paths, monkeypatch
+):
+    gram_shapes = []
+    proves_nonsingular = metrics._proves_nonsingular
+
+    def record(gram):
+        gram_shapes.append(gram.shape)
+        return proves_nonsingular(gram)
+
+    monkeypatch.setattr(metrics, "_proves_nonsingular", record)
+    rng = np.random.default_rng(35)
+    rows_seen = []
+    for _ in range(30):
+        rows, cols = int(rng.integers(2, 25)), int(rng.integers(40, 121))
+        mat = rng.integers(0, 2, size=(rows, cols))
+        assert metrics._modular_rank(mat) == rows == fraction_rank(mat)
+        rows_seen.append(rows)
+    # The m x m matrix AAᵀ, not the c x c matrix AᵀA.
+    assert gram_shapes == [(r, r) for r in rows_seen]
+    assert rank_paths == {"inverse": 30, "gram": 0, "checked": 0,
+                          "certified": 0, "fallback": 0}
+
+
+def test_pseudo_rank_drops_planted_duplicate_and_zero_columns(
+    rank_paths, monkeypatch
+):
+    reduced = []
+    modular_rank = metrics._modular_rank
+
+    def record(mat):
+        reduced.append(mat)
+        return modular_rank(mat)
+
+    monkeypatch.setattr(metrics, "_modular_rank", record)
+    rng = np.random.default_rng(36)
+    full = 0
+    for case in range(60):
+        if case % 2:
+            rows, distinct = int(rng.integers(30, 121)), int(rng.integers(2, 20))
+        else:
+            rows, distinct = int(rng.integers(2, 20)), int(rng.integers(20, 61))
+        if case % 3:
+            base = rng.integers(0, 2, size=(rows, distinct), dtype=np.uint8)
+        else:
+            base = planted_matrix(rng, rows, distinct).astype(np.uint8)
+        # Every column of base once, then copies of some and zero
+        # columns, in a shuffled order.
+        picks = np.concatenate([np.arange(distinct),
+                                rng.integers(0, distinct, size=distinct // 2)])
+        window = np.concatenate(
+            [base[:, picks], np.zeros((rows, 1 + case % 4), dtype=np.uint8)],
+            axis=1,
+        )[:, rng.permutation(len(picks) + 1 + case % 4)]
+        rank = fraction_rank(window)
+        assert pseudo_rank(window, window=rows) == rank
+        # One row per distinct nonzero row of the window and one column
+        # per distinct nonzero column, so none is zero or repeated.
+        mat = reduced[-1]
+        assert mat.shape == (len({tuple(r) for r in window if r.any()}),
+                             len({tuple(c) for c in window.T if c.any()}))
+        assert len({tuple(c) for c in mat.T}) == mat.shape[1]
+        assert mat.any(axis=0).all()
+        full += rank == min(mat.shape)
+    # The inverse check proved every full-rank window and no other.
+    assert full >= 20
+    assert rank_paths["inverse"] == full
+
+
+def test_inverse_check_never_proves_a_rank_deficient_window():
+    rng = np.random.default_rng(37)
+    for case in range(200):
+        rows, cols = int(rng.integers(2, 31)), int(rng.integers(2, 31))
+        if case % 2:
+            mat = planted_matrix(rng, rows, cols)
+        else:
+            # Rank at most min(rows, cols) - 1: one factor is too narrow.
+            inner = int(rng.integers(1, min(rows, cols)))
+            mat = (rng.integers(-3, 4, size=(rows, inner))
+                   @ rng.integers(-3, 4, size=(inner, cols)))
+        rank = fraction_rank(mat)
+        a = mat.astype(np.float64)
+        for gram in (a.T @ a, a @ a.T):
+            assert metrics._proves_nonsingular(gram) == (rank == len(gram))
+        assert metrics._modular_rank(mat) == rank
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        lambda g: np.eye(len(g)),
+        lambda g: np.ones_like(g),
+        lambda g: np.random.default_rng(len(g)).standard_normal(g.shape),
+        lambda g: np.random.default_rng(1).integers(-9, 10, g.shape) * 1e12,
+        lambda g: np.full(g.shape, np.nan),
+        lambda g: np.full(g.shape, np.inf),
+    ],
+    ids=["identity", "ones", "normal", "large", "nan", "inf"],
+)
+def test_forged_inverse_cannot_prove_a_singular_gram(
+    forged, rank_paths, monkeypatch
+):
+    calls = []
+
+    def inv(gram):
+        calls.append(gram.shape)
+        return forged(gram)
+
+    monkeypatch.setattr(metrics.np.linalg, "inv", inv)
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        rows, cols = int(rng.integers(8, 41)), int(rng.integers(3, 9))
+        mat = tall_planted(rng, rows, cols)
+        for window in (mat, mat.T):
+            a = window.astype(np.float64)
+            for gram in (a.T @ a, a @ a.T):
+                assert not metrics._proves_nonsingular(gram)
+            assert pseudo_rank(window, window=len(window)) == fraction_rank(
+                window
+            )
+    assert calls
+    assert rank_paths["inverse"] == 0
+    # A nonsingular Gram matrix that the forged inverse does not prove
+    # is ranked by elimination, whose full-rank shortcut decides it.
+    before = dict(rank_paths)
+    mat = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    assert metrics._modular_rank(mat) == 3 == fraction_rank(mat)
+    step = {k: rank_paths[k] - before[k] for k in rank_paths}
+    assert step == {"inverse": 0, "gram": 1, "checked": 0, "certified": 0,
+                    "fallback": 0}
+
+
+def test_inverse_check_raises_nothing_when_inv_fails(monkeypatch):
+    def inv(gram):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(metrics.np.linalg, "inv", inv)
+    assert not metrics._proves_nonsingular(np.eye(3))
+    assert metrics._modular_rank(np.eye(3, dtype=np.int64)) == 3
+
+
+@pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
+def test_inverse_scale_keeps_the_largest_window_exact(density):
+    # The largest window a sweep can produce: 500 rows of n = 130
+    # neurons, 0/1. Every row of |X| · |G| must sum below 2^53, summed
+    # here in Python ints.
+    rng = np.random.default_rng(39)
+    mat = (rng.random((500, 130)) < density).astype(np.float64)
+    gram = mat.T @ mat
+    x = metrics._scaled_inverse(gram)
+    assert x is not None
+    norms = np.abs(gram).astype(np.int64).sum(axis=1).tolist()
+    sums = [sum(abs(int(v)) * w for v, w in zip(row, norms))
+            for row in x.tolist()]
+    assert max(sums) < 2**53
+    assert metrics._proves_nonsingular(gram)
 
 
 def test_pseudo_rank_falls_back_when_certificate_fails(rank_paths, monkeypatch):
@@ -355,9 +529,10 @@ def test_pseudo_rank_falls_back_when_certificate_fails(rank_paths, monkeypatch):
     assert rank_paths["fallback"] == 1
 
     # Nor may a product that is nonzero only beyond int64: here
-    # mat @ (2^62, 2^62) = (2^65, 2^66), which wraps to 0 in int64. The
-    # basis norm 2^63 itself wraps in an int64 sum.
-    mat = np.array([[4, 4], [8, 8]])
+    # mat @ (2^62, 2^62) = (3 * 2^64, 6 * 2^64), which wraps to 0 in
+    # int64. The basis norm 2^63 itself wraps in an int64 sum. The
+    # columns differ, so the column dedup leaves the kernel in place.
+    mat = np.array([[4, 8], [8, 16]])
     monkeypatch.setattr(
         metrics, "_kernel_basis", lambda echelon, pivots: np.full((2, 1), 1 << 62)
     )

@@ -522,7 +522,7 @@ def test_cohort_ranks_each_distinct_row_set_once(monkeypatch):
 
 def test_cohort_job_memory_is_bounded():
     # One full cohort at n = 74, bits 9..16, with 4 of its 8 lanes
-    # censored at horizon 1000: its traced peak measured 1.54 MB (2^20 B).
+    # censored at horizon 1000: its traced peak measured 1.50 MB (2^20 B).
     grid = SweepGrid(sizes=[74], densities=[0.9], bit_widths=list(range(9, 17)),
                      master_seed=13)
     (cells,) = sweep._cohorts(grid)
