@@ -146,6 +146,7 @@ def pseudo_rank(
     rank = 0
     if kept:
         rows = np.frombuffer(b"".join(kept), dtype=tail.dtype)
+        # The distinct nonzero columns are the distinct nonzero rows of Aᵀ.
         columns = _distinct_nonzero_rows(rows.reshape(len(kept), -1).T)
         mat = np.frombuffer(b"".join(columns), dtype=tail.dtype)
         rank = _modular_rank(mat.reshape(len(columns), -1).T)

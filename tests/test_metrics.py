@@ -272,7 +272,7 @@ def test_pseudo_rank_certified_on_planted_dependencies(rank_paths):
     # refuses; it falls back by design.
     assert decided.get("inverse", 0) >= 20
     assert ("gram", "shortcut") not in decided
-    assert decided.get(("gram", "certified"), 0) >= 15
+    assert decided.get(("gram", "certified"), 0) >= 20
     assert decided.get(("plain", "shortcut"), 0) >= 10
     assert decided.get(("plain", "certified"), 0) >= 20
     assert all(count <= 3 for count in fallbacks.values())
@@ -440,6 +440,10 @@ def test_inverse_check_never_proves_a_rank_deficient_window():
         assert metrics._modular_rank(mat) == rank
 
 
+def refuse(gram):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 @pytest.mark.parametrize(
     "forged",
     [
@@ -449,8 +453,9 @@ def test_inverse_check_never_proves_a_rank_deficient_window():
         lambda g: np.random.default_rng(1).integers(-9, 10, g.shape) * 1e12,
         lambda g: np.full(g.shape, np.nan),
         lambda g: np.full(g.shape, np.inf),
+        refuse,
     ],
-    ids=["identity", "ones", "normal", "large", "nan", "inf"],
+    ids=["identity", "ones", "normal", "large", "nan", "inf", "raises"],
 )
 def test_forged_inverse_cannot_prove_a_singular_gram(
     forged, rank_paths, monkeypatch
@@ -483,15 +488,6 @@ def test_forged_inverse_cannot_prove_a_singular_gram(
     step = {k: rank_paths[k] - before[k] for k in rank_paths}
     assert step == {"inverse": 0, "gram": 1, "checked": 0, "certified": 0,
                     "fallback": 0}
-
-
-def test_inverse_check_raises_nothing_when_inv_fails(monkeypatch):
-    def inv(gram):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(metrics.np.linalg, "inv", inv)
-    assert not metrics._proves_nonsingular(np.eye(3))
-    assert metrics._modular_rank(np.eye(3, dtype=np.int64)) == 3
 
 
 @pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
