@@ -23,10 +23,12 @@ CENSORED = "censored"
 
 DEFAULT_STATE_BUDGET = 1 << 20
 
-# Start states per batched detector replay. Each live lane stores one
-# int64 state code per tick until its first revisit is found, so the
-# chunk bounds the replay's memory: about 1.6 MB on the oracle, where
-# 2048 lanes took twice that and replayed no faster.
+# Start states per batched detector replay. Between checkpoints a live
+# lane holds one int64 state code per tick, up to the next checkpoint,
+# and its current (v, s) row; at a checkpoint its sort takes a few more
+# int64s per tick. So the chunk bounds the replay's memory: a traced
+# peak of at most 1.6 MB on the oracle's 32768-state networks, where
+# 2048 lanes took 2.8 MB and replayed about 9% faster.
 REPLAY_LANES = 1024
 
 # Candidate dtypes of a state key's potentials, narrowest first, with
@@ -192,15 +194,16 @@ def _batch_revisits(
     array of enumeration indices, one lane per start.
 
     The indices are the tick-0 codes. Each tick steps the live lanes
-    once through step_arrays. At ticks 8, 16, 32, ... and at `horizon`
-    the states stepped since the last such checkpoint get theirs in one
-    _lattice_codes call, one int64 code column per tick, and each lane's
-    columns are sorted stably, so equal codes sit in time order: the
-    smallest time that follows an equal code is the first revisit t2,
-    and the entry before it the first visit t1, since every state before
-    t2 occurs once. Lanes found there retire and their rows are dropped.
-    Refuses a space of 2^63 or more states, which has no int64 codes,
-    and a start outside 0..N-1.
+    once through step_arrays and writes their new states' codes (the
+    vectorised encode_state, shifted by one constant) as one int64 column
+    of a table sized to the next checkpoint; no (v, s) rows are kept. At
+    ticks 8, 16, 32, ... and at `horizon` each lane's codes are sorted
+    stably, so equal codes sit in time order: the smallest time that
+    follows an equal code is the first revisit t2, and the entry before
+    it the first visit t1, since every state before t2 occurs once.
+    Lanes found there retire, and the rest move to a table sized to the
+    next checkpoint. Refuses a space of 2^63 or more states, which has
+    no int64 codes, and a start outside 0..N-1.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -215,20 +218,20 @@ def _batch_revisits(
     found_at = np.full((2, len(starts)), -1, dtype=np.int64)
     lanes = np.arange(len(starts))  # input lane of each live row
     v, s = _decode_indices(net, starts)
-    codes = starts[:, None]  # ticks up to the last checkpoint
-    ticks = []  # states stepped since the last checkpoint
+    wv, ws, base = _code_weights(net)
+    # Column t: each live lane's state code at tick t, plus base.
+    codes = np.empty((len(starts), min(8, horizon) + 1), dtype=np.int64)
+    codes[:, 0] = starts + base
     checkpoint = 8
     for t in range(1, horizon + 1):
         v, s = net.step_arrays(v, s)
-        ticks.append((v, s))
+        code = codes[:, t]
+        np.matmul(v.astype(np.int64, copy=False), wv, out=code)
+        if ws is not None:
+            code += s @ ws
         if t < checkpoint and t < horizon:
             continue
         checkpoint *= 2
-        # Lane-major rows: lane 0's ticks, then lane 1's, and so on.
-        vs, ss = (np.concatenate(x, axis=1).reshape(-1, net.n) for x in zip(*ticks))
-        fresh = _lattice_codes(net, vs, ss).reshape(len(lanes), len(ticks))
-        codes = np.concatenate((codes, fresh), axis=1)
-        ticks = []
         rows = np.arange(len(lanes))
         order = codes.argsort(axis=1, kind="stable")
         ranked = codes[rows[:, None], order]
@@ -236,10 +239,14 @@ def _batch_revisits(
         pick = repeats.argmin(axis=1)
         t1, t2 = order[rows, pick], repeats[rows, pick]
         live = t2 > t
-        found_at[:, lanes[~live]] = t1[~live], t2[~live] - t1[~live]
-        if not live.any():
+        done = ~live
+        found_at[:, lanes[done]] = t1[done], t2[done] - t1[done]
+        if t == horizon or not live.any():
             break
-        lanes, v, s, codes = lanes[live], v[live], s[live], codes[live]
+        lanes, v, s = lanes[live], v[live], s[live]
+        grown = np.empty((len(lanes), min(checkpoint, horizon) + 1), dtype=np.int64)
+        grown[:, :t + 1] = codes[live]
+        codes = grown
     return found_at[0], found_at[1]
 
 
@@ -346,6 +353,17 @@ def _decode_indices(net: Network, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return v, s
 
 
+def _code_weights(net: Network) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(wv, ws, base): a lattice state (v, s) has enumeration index
+    v @ wv + s @ ws - base, with no s term (ws None) without reset."""
+    powers = np.arange(net.n - 1, -1, -1, dtype=np.int64)
+    wv = net.domain.cardinality**powers
+    ws = None
+    if net.reset_mode != RESET_NONE:
+        wv, ws = wv << net.n, 1 << powers
+    return wv, ws, int(wv.sum()) * net.domain.min_value
+
+
 def _lattice_codes(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """int64 enumeration index of each (v, s) row of a batch; the
     vectorised encode_state and the inverse of _decode_indices.
@@ -354,11 +372,10 @@ def _lattice_codes(net: Network, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     is: clamp puts v in the domain and s is the fired mask. The space
     must hold fewer than 2^63 states.
     """
-    powers = np.arange(net.n - 1, -1, -1, dtype=np.int64)
-    digits = (v - net.domain.min_value).astype(np.int64, copy=False)
-    codes = digits @ net.domain.cardinality**powers
-    if net.reset_mode != RESET_NONE:
-        codes = codes * (1 << net.n) + s.astype(np.int64, copy=False) @ (1 << powers)
+    wv, ws, base = _code_weights(net)
+    codes = v.astype(np.int64, copy=False) @ wv - base
+    if ws is not None:
+        codes += s.astype(np.int64, copy=False) @ ws
     return codes
 
 
@@ -461,26 +478,30 @@ def resolve_successors(succ: np.ndarray) -> StateGraphReport:
 
 def detection_mismatches(net: Network, report: StateGraphReport) -> list[int]:
     """Indices of start states where detect_cycle disagrees with the
-    exhaustive report; empty means full agreement.
+    exhaustive report, in ascending order; empty means full agreement.
 
-    Start states are replayed as the lanes of one detect_cycle call per
-    chunk of REPLAY_LANES, with the chunk's largest transient + period
-    as the horizon, and compared in one vectorised test, where a
-    censored lane (period -1) always disagrees. A longer horizon than a
-    lane's own hides no wrong answer: a lane whose transient and period
-    are both right first revisits at step transient + period exactly.
+    The start indices are sorted stably by their reported transient +
+    period and replayed as the lanes of one detect_cycle call per chunk
+    of REPLAY_LANES of that order, with the chunk's largest sum as the
+    horizon. A chunk's lanes then retire at about the same checkpoint,
+    so few ticks step stragglers. Each lane's answer is compared with
+    the report in one vectorised test, where a censored lane (period -1)
+    always disagrees, and a wrong lane is named by its own start index.
+    The order only schedules lanes, and a longer horizon than a lane's
+    own hides no wrong answer: a lane whose transient and period are
+    both right first revisits at step transient + period exactly, and
+    any other lane returns another answer or is censored.
     """
+    order = (report.transients + report.periods).argsort(kind="stable")
     bad = []
     for start in range(0, report.state_count, REPLAY_LANES):
-        stop = min(start + REPLAY_LANES, report.state_count)
-        mus = report.transients[start:stop]
-        periods = report.periods[start:stop]
-        horizon = max(1, int((mus + periods).max()))
-        starts = np.arange(start, stop, dtype=np.int64)
+        starts = order[start:start + REPLAY_LANES]
+        mus, periods = report.transients[starts], report.periods[starts]
+        horizon = max(1, int(mus[-1] + periods[-1]))
         got_mus, got_periods = detect_cycle(net, starts, horizon)
         wrong = (got_periods < 1) | (got_mus != mus) | (got_periods != periods)
-        bad.extend((start + np.flatnonzero(wrong)).tolist())
-    return bad
+        bad.append(starts[wrong])
+    return np.sort(np.concatenate(bad)).tolist()
 
 
 def oracle_json(net: Network, report: StateGraphReport) -> dict:

@@ -79,6 +79,40 @@ def test_gain_shown_needs_ten_pairs():
     assert bench_pairs.gain_shown(_PARENT * 2, [110.0] * 19 + [90.0], "higher")
 
 
+def test_pair_ratios_see_a_gain_that_host_drift_hides_from_the_medians():
+    # the parent drifts from 400 to 490 across the session, and each pair
+    # reads 1.04x to 1.13x for the change: the median gap (about 40) sits
+    # inside the parent's IQR (about 45), yet every pair favours the change
+    parent = [400.0 + 10 * i for i in range(10)]
+    change = [p * (1.04 + 0.01 * (i % 10)) for i, p in enumerate(parent)]
+    assert bench_pairs.gain_shown(parent, change, "higher") is False
+    ratios = bench_pairs.pair_ratios(parent, change, "higher", list(range(10)))
+    assert ratios["pair_ratio_median"] == pytest.approx(1.085)
+    q1, q3 = ratios["pair_ratio_q1_q3"]
+    assert (q1, q3) == (pytest.approx(1.0625), pytest.approx(1.1075))
+    assert ratios["pairs_favouring_change"] == list(range(10))
+    # for a metric where lower is better the same ratios favour the parent
+    lower = bench_pairs.pair_ratios(parent, change, "lower", list(range(10)))
+    assert lower["pairs_favouring_change"] == []
+    assert lower["pair_ratio_median"] == ratios["pair_ratio_median"]
+
+
+def test_pair_ratios_leave_out_ties_zero_parents_and_directionless_metrics():
+    ratios = bench_pairs.pair_ratios(
+        [2.0, 0.0, 4.0, 5.0], [1.0, 3.0, 4.0, 10.0], "lower", [0, 3, 5, 6]
+    )
+    # pair 3 has no ratio; pair 5 is a tie, favouring neither side
+    assert ratios["pair_ratio_median"] == 1.0
+    assert ratios["pair_ratio_q1_q3"] == [0.75, 1.5]
+    assert ratios["pairs_favouring_change"] == [0]
+    assert bench_pairs.pair_ratios([2.0], [3.0], None, [0])[
+        "pairs_favouring_change"] is None
+    assert bench_pairs.pair_ratios([0.0], [3.0], "higher", [0]) == {
+        "pair_ratio_median": None, "pair_ratio_q1_q3": [None, None],
+        "pairs_favouring_change": [],
+    }
+
+
 def _run(pair, side, value, correct=True):
     metrics = {"runs_per_s": value, "setup_s": 1.0} if correct else {}
     return {"workload": "grid", "seed": 100 + pair, "pair": pair, "side": side,
@@ -109,6 +143,9 @@ def test_summarize_ratio_wins_and_a_dropped_pair():
     assert (rate["bound"], rate["verdict"]) == (0.25, "holds")
     # 2 wins of 3 is short of nine tenths
     assert rate["gain_shown"] is False
+    # pair ratios 1.2, 0.9 and 1.1 over the kept pairs 0, 1 and 2
+    assert rate["pair_ratio_median"] == 1.1
+    assert rate["pairs_favouring_change"] == [0, 2]
     setup = grid["setup_s"]
     assert (setup["median_ratio"], setup["change_wins"]) == (1.0, 0)
     assert setup["gain_shown"] is False
@@ -124,6 +161,8 @@ def test_summarize_shows_a_gain_only_for_metrics_with_a_direction():
     assert grid["runs_per_s"]["gain_shown"] is True
     assert grid["setup_s"]["better"] is None
     assert "gain_shown" not in grid["setup_s"]
+    assert grid["setup_s"]["pair_ratio_median"] == 1.0
+    assert grid["setup_s"]["pairs_favouring_change"] is None
 
 
 def test_summarize_keeps_a_workload_whose_runs_all_pass():

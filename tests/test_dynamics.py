@@ -604,14 +604,7 @@ def test_batch_scan_around_checkpoints(monkeypatch, revisits, ticks):
         zip(report.transients[picked].tolist(), report.periods[picked].tolist())
     )
     assert {p for _, p in expected} <= {4, 15} and min(p for _, p in expected) > 1
-    stepped = []
-    step = net.step_arrays
-
-    def counted(*args):
-        stepped.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(net, "step_arrays", counted)
+    stepped = count_steps(monkeypatch, net)
     assert batch_scan(net, picked, 100) == expected
     assert len(stepped) == ticks
     # a horizon between checkpoints is itself searched: a lane revisiting
@@ -622,18 +615,32 @@ def test_batch_scan_around_checkpoints(monkeypatch, revisits, ticks):
     assert batch_scan(net, picked, last - 1) == cut
 
 
-def test_detection_mismatches_finds_planted_errors():
-    net = Network(
+def oracle_network(reset_mode=RESET_NONE):
+    # n=3 at 4 bits: 4096 states without reset, 32768 with it
+    return Network(
         n=3,
         weights=generate_topology(3, 0.8, -2, 2, seed=derive_seed(70, 0)),
         thresholds=sample_thresholds(3, 1, 4, seed=derive_seed(70, 1)),
         leak_k=1,
         domain=IntegerDomain(4),
+        reset_mode=reset_mode,
     )
+
+
+def replay_chunk(report, index):
+    """The chunk of the sorted replay schedule that replays `index`."""
+    order = np.argsort(report.transients + report.periods, kind="stable")
+    return int(np.flatnonzero(order == index)[0]) // REPLAY_LANES
+
+
+def test_detection_mismatches_finds_planted_errors():
+    net = oracle_network()
     report = enumerate_state_graph(net)
     assert report.state_count > 2 * REPLAY_LANES
     assert detection_mismatches(net, report) == []
-    # errors on both sides of the first chunk boundary, and in the last chunk
+    sums = report.transients + report.periods
+    # errors on both sides of the first chunk boundary in index order,
+    # and at the last index
     planted = [REPLAY_LANES - 2, REPLAY_LANES - 1, REPLAY_LANES, REPLAY_LANES + 3,
                report.state_count - 1]
     report.transients[REPLAY_LANES - 2] += 1
@@ -642,7 +649,53 @@ def test_detection_mismatches_finds_planted_errors():
     report.periods[REPLAY_LANES + 3] += 1
     report.transients[report.state_count - 1] += 1
     report.periods[report.state_count - 1] += 1
-    assert detection_mismatches(net, report) == planted
+    # errors whose reported transient + period moves them to another
+    # chunk of the sorted schedule: a first-chunk start raised past the
+    # largest sum, and a last-chunk start brought down to a sum of 1
+    last = (report.state_count - 1) // REPLAY_LANES
+    early = int(np.flatnonzero(sums == 1)[-1])
+    late = int(np.flatnonzero(sums == sums.max())[0])
+    assert (replay_chunk(report, early), replay_chunk(report, late)) == (0, last)
+    report.transients[early] = sums.max() + 1
+    report.periods[late] = 1 - report.transients[late]
+    assert (replay_chunk(report, early), replay_chunk(report, late)) == (last, 0)
+    planted += [early, late]
+    assert detection_mismatches(net, report) == sorted(planted)
+
+
+def count_steps(monkeypatch, net):
+    stepped = []
+    step = net.step_arrays
+
+    def counted(*args):
+        stepped.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(net, "step_arrays", counted)
+    return stepped
+
+
+def test_detection_mismatches_replays_sorted_chunks(monkeypatch):
+    # Every start here revisits by step 7, so each of the 4 chunks in
+    # index order replays 7 ticks (28). Sorted by transient + period,
+    # the chunks' largest sums are 5, 6, 6 and 7.
+    net = oracle_network()
+    report = enumerate_state_graph(net)
+    sums = report.transients + report.periods
+    assert (report.state_count, sums.max()) == (4096, 7)
+    stepped = count_steps(monkeypatch, net)
+    assert detection_mismatches(net, report) == []
+    assert len(stepped) == 24 < 4 * 7
+
+
+def test_detection_mismatches_peak_memory():
+    # 32 chunks of 1024 lanes; each live lane holds one int64 code per
+    # tick up to the next checkpoint, and a checkpoint's sort a few
+    # arrays of that size
+    net = oracle_network(RESET_SUBTRACT)
+    report = enumerate_state_graph(net)
+    assert report.state_count == 32768
+    assert traced_peak(lambda: detection_mismatches(net, report)) < 2_000_000
 
 
 def traced_peak(fn):
@@ -657,14 +710,7 @@ def traced_peak(fn):
 def test_enumeration_peak_memory_below_walk():
     # A few N-sized arrays against the walk's Python lists of N; both
     # sides include the successor step and the report.
-    net = Network(
-        n=3,
-        weights=generate_topology(3, 0.8, -2, 2, seed=derive_seed(70, 0)),
-        thresholds=sample_thresholds(3, 1, 4, seed=derive_seed(70, 1)),
-        leak_k=1,
-        domain=IntegerDomain(4),
-        reset_mode=RESET_SUBTRACT,
-    )
+    net = oracle_network(RESET_SUBTRACT)
     total = state_space_size(net)
     assert total == 32768
     enum_peak = traced_peak(lambda: enumerate_state_graph(net))

@@ -15,13 +15,15 @@ The result goes to BENCH_<label>.json at the root of this checkout. It
 holds every run (workload, seed, pair, side, which side ran first, the
 unit count from perfbench's `info` line, `correct` and every metric)
 and, per workload and metric, both medians and quartiles, the
-change/parent median ratio and the pairs the change won; a pair with a
-failed run is left out of those and listed under `dropped_pairs`. Each
-end-to-end metric also gets a verdict from its `bound` in BENCHMARK.json:
-"worse" when the change median is worse than the parent median by more
-than the bound, "unresolved" when the parent's interquartile range is a
-larger share of its median than the bound and not every change run beats
-every parent run, and "holds" otherwise. Each metric with a `better`
+change/parent median ratio, the pairs the change won, and the median
+and quartiles of the change/parent ratio of each pair with the pairs
+whose ratio favours the change; a pair with a failed run is left out of
+those and listed under `dropped_pairs`. Each end-to-end metric also gets
+a verdict from its `bound` in BENCHMARK.json: "worse" when the change
+median is worse than the parent median by more than the bound,
+"unresolved" when the parent's interquartile range is a larger share of
+its median than the bound and not every change run beats every parent
+run, and "holds" otherwise. Each metric with a `better`
 direction gets `gain_shown`: true when there are at least ten pairs, the
 change wins at least nine tenths of them (a tie counts for neither side)
 and its median beats the parent's by more than the parent's
@@ -126,11 +128,30 @@ def gain_shown(parent: list[float], change: list[float], direction: str) -> bool
     return len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > pq3 - pq1
 
 
+def pair_ratios(parent: list[float], change: list[float], direction: str | None,
+                pairs: list[int]) -> dict:
+    """The change/parent ratio of each pair, summarised: its median and
+    quartiles, and the pairs whose ratio favours the change (above 1
+    where higher is better, below 1 where lower is; None without a
+    direction). Unlike the unpaired medians these do not see host drift
+    that moves both runs of a pair alike. A pair with a zero parent run
+    has no ratio and is left out."""
+    kept = [(p, c / q) for p, q, c in zip(pairs, parent, change) if q]
+    ratios = [r for _, r in kept]
+    q1, median, q3 = quartiles(ratios) if ratios else (None, None, None)
+    favours = None
+    if direction is not None:
+        sign = 1 if direction == "higher" else -1
+        favours = [p for p, r in kept if sign * (r - 1) > 0]
+    return {"pair_ratio_median": median, "pair_ratio_q1_q3": [q1, q3],
+            "pairs_favouring_change": favours}
+
+
 def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float]) -> dict:
-    """Per workload and metric: medians, quartiles, ratio and wins, a
-    `gain_shown` for each metric with a direction, and a verdict for
-    each metric with a bound. A pair with a run that is
+    """Per workload and metric: medians, quartiles, ratio, wins and
+    pair_ratios, a `gain_shown` for each metric with a direction, and a
+    verdict for each metric with a bound. A pair with a run that is
     missing or not correct is left out of every statistic and listed
     under `dropped_pairs`, with the sides that failed."""
     summary: dict[str, dict] = {}
@@ -176,6 +197,7 @@ def summarize(runs: list[dict], better: dict[str, str],
                 "parent_iqr_share_of_median": (pq3 - pq1) / pmed if pmed else None,
                 "change_wins": None,
                 "out_of": len(kept),
+                **pair_ratios(values["parent"], values["change"], direction, kept),
             }
             if direction is not None:
                 runs_by_side = values["parent"], values["change"]
