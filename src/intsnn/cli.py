@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -109,6 +110,20 @@ def _write_sweep_figures(out: Path, summaries, label: str) -> None:
 _CELL_FLAGS = {"sizes": "--n", "densities": "--density", "bits": "--bits"}
 
 
+@contextlib.contextmanager
+def _flags_named(flags: dict[str, str]):
+    """Raise a grid refusal of a key in `flags` (key -> flag) with the
+    flag the user typed in place of the key: every `SweepGrid.validate`
+    message starts with its key."""
+    try:
+        yield
+    except ValueError as exc:
+        key, _, rest = str(exc).partition(" ")
+        if key not in flags:
+            raise
+        raise ValueError(f"{flags[key]} {rest}") from exc
+
+
 def _cell_config(args):
     """Config for the one cell that --n, --density and --bits name, with
     its grid validated as `intsnn sweep` validates one, so a bad model
@@ -118,7 +133,8 @@ def _cell_config(args):
         {"sizes": [args.n], "densities": [args.density], "bits": [args.bits_value]}
     )
     config = load_config(args.config, overrides, _CELL_FLAGS)
-    config.grid.validate()
+    with _flags_named(_CELL_FLAGS):
+        config.grid.validate()
     return config
 
 
@@ -142,7 +158,7 @@ def cmd_simulate(args) -> int:
     )
     init = initial_state(net, init_seed)
     traj = simulate(net, init, grid.horizon)
-    record = run_cell(grid, n, density, bits, args.seed, net=net)
+    record = run_cell(grid, n, density, bits, args.seed)
     out = _ensure_dir(args.out or config.output_dir)
 
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -227,7 +243,13 @@ _FOCUSED_FLAGS = {"sizes": "--n", "densities": "--density", "seeds_per_cell": "-
 
 def cmd_focused(args) -> int:
     config = load_config(args.config, _grid_overrides(args), _FOCUSED_FLAGS)
-    grid = focused_grid(config.grid, args.bit_widths, args.n, args.density, args.seeds)
+    flags = dict(_FOCUSED_FLAGS)
+    if args.bit_widths is not None:  # else `bits` is the config file's
+        flags["bits"] = "--bits"
+    with _flags_named(flags):
+        grid = focused_grid(
+            config.grid, args.bit_widths, args.n, args.density, args.seeds
+        )
     workers = _workers(config)
     out = _ensure_dir(args.out or config.output_dir)
     summaries = _run_and_write(grid, out, workers, config.figures, "focused")

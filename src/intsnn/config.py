@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 from .sweep import VARIANT_PRESETS, SweepGrid
 
+# The most values one `start..end:step` range may expand to; a larger
+# range is refused before it is expanded, so a typo cannot take all of
+# memory.
+MAX_RANGE_VALUES = 1 << 16
+
 
 def parse_int(text: str) -> int:
     return int(text, 0)
@@ -62,6 +67,16 @@ def _split_range(part: str) -> tuple[str, str, str | None]:
     return start, end, step or None
 
 
+def _check_span(part: str, last) -> None:
+    """Refuse a range whose last value index, `last`, is not finite or
+    leaves it more than MAX_RANGE_VALUES values."""
+    if not last < MAX_RANGE_VALUES:
+        raise ValueError(
+            f"range {part!r} must hold a finite count of at most "
+            f"{MAX_RANGE_VALUES} values"
+        )
+
+
 def _int_range(part: str) -> list[int]:
     start_s, end_s, step_s = _split_range(part)
     start, end = parse_int(start_s), parse_int(end_s)
@@ -70,6 +85,7 @@ def _int_range(part: str) -> list[int]:
         raise ValueError(f"range step must be positive in {part!r}")
     if end < start:
         raise ValueError(f"descending range {part!r}")
+    _check_span(part, (end - start) // step)
     return list(range(start, end + 1, step))
 
 
@@ -81,14 +97,13 @@ def _float_range(part: str) -> list[float]:
         raise ValueError(f"range step must be positive in {part!r}")
     if end < start:
         raise ValueError(f"descending range {part!r}")
+    # Counted first, so nan or infinite ends and tiny steps never expand;
+    # the check per value bounds what rounding near huge ends could add.
+    _check_span(part, (end - start) / step)
     out = []
-    i = 0
-    while True:
-        value = round(start + i * step, 12)
-        if value > end + 1e-9:
-            break
+    while (value := round(start + len(out) * step, 12)) <= end + 1e-9:
         out.append(value)
-        i += 1
+        _check_span(part, len(out) - 1)
     return out
 
 

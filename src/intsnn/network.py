@@ -233,55 +233,50 @@ class Network:
         return (np.asarray(v) >= self._th_exec).astype(np.int64)
 
 
+# The execution arrays a LaneStack holds one row of per lane.
+_LANE_ARRAYS = ("_wt_exec", "_th_exec", "_lo", "_hi", "_mask")
+
+
 class LaneStack(Network):
     """Networks of one size, leak shift, overflow mode and reset mode,
     stepped as the lanes of one (B, n) batch: row b by lane b's network.
 
+    Built in one call from (network, lane count) pairs in lane order.
     Only the execution arrays carry the lane axis: transposed weights
-    (B, n, n), thresholds (B, n), and lo, hi and mask (B, 1). The
-    inherited step_arrays broadcasts over them, so the update equation
-    stays in one place. Lanes are filled network by network with `put`,
-    so no network need outlive its copy. Every lane steps in int64: an
-    object-mode network cannot be put.
+    (B, n, n), in the widest sum dtype its networks need, thresholds
+    (B, n), and lo, hi and mask (B, 1). The inherited step_arrays
+    broadcasts over them, so the update equation stays in one place.
+    Every lane steps in int64: an object-mode network cannot join.
     """
 
-    def __init__(self, n: int, lanes: int, leak_k: int, overflow_mode: str,
-                 reset_mode: str):
-        self.n = n
-        self.leak_k = leak_k
-        self.reset_mode = reset_mode
+    def __init__(self, lanes) -> None:
+        lanes = list(lanes)
+        first = lanes[0][0]
+        shared = (first.n, first.leak_k, first._saturate, first.reset_mode)
+        for net, _ in lanes:
+            if net.state_dtype is object:
+                raise ValueError("an object-mode network cannot join a lane stack")
+            if (net.n, net.leak_k, net._saturate, net.reset_mode) != shared:
+                raise ValueError("lanes must share n, leak_k and the modes")
+        self.n, self.leak_k, self.reset_mode = first.n, first.leak_k, first.reset_mode
         self.weights = self.thresholds = self.domain = None
         self.seed_provenance = None
-        self._saturate = overflow_mode == SATURATE
-        self._shift = min(leak_k, 64)
-        # As narrow as every lane's row sums allow (see _plan_execution).
-        self._wt_exec = np.zeros((lanes, n, n), dtype=_SUM_DTYPES[0][0])
-        self._th_exec = np.zeros((lanes, n), dtype=np.int64)
-        self._lo, self._hi, self._mask = np.zeros((3, lanes, 1), dtype=np.int64)
-
-    def put(self, start: int, count: int, net: Network) -> None:
-        """Lanes start .. start + count - 1 step by `net`."""
-        if net.state_dtype is object:
-            raise ValueError("an object-mode network cannot join a lane stack")
-        if net.n != self.n or net.leak_k != self.leak_k or (
-            net._saturate != self._saturate or net.reset_mode != self.reset_mode
-        ):
-            raise ValueError("lanes must share n, leak_k and the modes")
-        wt = net._wt_exec
-        wider = max(wt.dtype.type, self._wt_exec.dtype.type, key=dict(_SUM_DTYPES).get)
-        # Exact: the lanes so far hold integers their dtype holds exactly.
-        self._wt_exec = self._wt_exec.astype(wider, copy=False)
-        lanes = slice(start, start + count)
-        self._wt_exec[lanes] = wt
-        self._th_exec[lanes] = net._th_exec
-        self._lo[lanes], self._hi[lanes] = net._lo, net._hi
-        self._mask[lanes] = net._mask
+        self._shift, self._saturate = first._shift, first._saturate
+        # Exact: every lane's weights are integers the widest dtype holds.
+        wider = max(
+            (net._wt_exec.dtype.type for net, _ in lanes), key=dict(_SUM_DTYPES).get
+        )
+        per_lane = [net for net, count in lanes for _ in range(count)]
+        for name in _LANE_ARRAYS:
+            rows = [np.atleast_1d(getattr(net, name)) for net in per_lane]
+            dtype = wider if name == "_wt_exec" else np.int64
+            setattr(self, name, np.array(rows, dtype=dtype))
 
     def take_lanes(self, keep) -> LaneStack:
         """A stack of lanes `keep` only, in that order."""
         part = object.__new__(LaneStack)
         part.__dict__.update(self.__dict__)
-        for name in ("_wt_exec", "_th_exec", "_lo", "_hi", "_mask"):
+        for name in _LANE_ARRAYS:
             setattr(part, name, getattr(self, name)[keep])
         return part
 

@@ -10,6 +10,7 @@ import pytest
 from intsnn import cli
 from intsnn.cli import main
 from intsnn.config import (
+    MAX_RANGE_VALUES,
     build_config,
     load_config,
     parse_bool,
@@ -36,6 +37,53 @@ def test_list_parsers():
         parse_int_list("1..5:0")
     with pytest.raises(ValueError):
         parse_float_list("..5")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_int_list, "1..10000000000000"),
+        (parse_int_list, f"0..{MAX_RANGE_VALUES}"),
+        (parse_int_list, f"1..{2 * MAX_RANGE_VALUES + 1}:2, 5"),
+        (parse_float_list, "0..nan"),
+        (parse_float_list, "nan..1"),
+        (parse_float_list, "0..inf"),
+        (parse_float_list, "-inf..0"),
+        (parse_float_list, "0..1:1e-15"),
+        (parse_float_list, "0..1:nan"),
+        (parse_float_list, f"0..{MAX_RANGE_VALUES}"),
+    ],
+)
+def test_list_parsers_count_a_range_before_expanding_it(parse, text):
+    # One value past the bound, or no finite count: the huge, infinite,
+    # nan and tiny-step ranges once ran out of memory or never returned.
+    with pytest.raises(ValueError, match="must hold a finite count of at most"):
+        parse(text)
+
+
+def test_list_parsers_expand_ranges_up_to_the_bound():
+    last = MAX_RANGE_VALUES - 1
+    assert parse_int_list(f"0..{last}") == list(range(MAX_RANGE_VALUES))
+    assert parse_int_list(f"1..{2 * MAX_RANGE_VALUES - 1}:2")[-1] == 2 * last + 1
+    floats = parse_float_list(f"0..{last}")
+    assert floats == [float(i) for i in range(MAX_RANGE_VALUES)]
+
+
+def test_cli_refuses_a_range_past_the_bound_naming_its_key(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("horizon = 40\nsizes = 1..10000000000000\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: line 2: bad value for sizes: range '1..10000000000000'" in (
+        capsys.readouterr().err
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["focused", "--bits", "1..10000000000000", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --bits: bad value for bits: range '1..10000000000000'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_parse_bool():
@@ -490,6 +538,38 @@ def test_cli_cell_commands_refuse_grid_keys_their_flags_set(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"config key {key} " in err and err.rstrip().endswith(flag), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("simulate", "--n", "0"), "--n must be >= 1, got 0"),
+        (("simulate", "--density", "2"), "--density must lie in [0, 1], got 2.0"),
+        (("simulate", "--bits", "65"), "--bits must lie in 1..64, got 65"),
+        (("oracle", "--n", "0", "--bits", "2"), "--n must be >= 1, got 0"),
+        (("oracle", "--n", "2", "--bits", "3", "--density", "-0.0"),
+         "--density must lie in [0, 1], got -0.0"),
+        (("oracle", "--n", "2", "--bits", "0"), "--bits must lie in 1..64, got 0"),
+        (("focused", "--n", "0"), "--n must be >= 1, got 0"),
+        (("focused", "--density", "2"), "--density must lie in [0, 1], got 2.0"),
+        (("focused", "--bits", "0,4"), "--bits must lie in 1..64, got 0"),
+        (("focused", "--bits", "4,4"), "--bits has duplicate values: [4, 4]"),
+    ],
+)
+def test_cli_refusals_name_the_flag_the_user_typed(tmp_path, capsys, args, flag):
+    out = tmp_path / "o"
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag}\n"
+    assert not out.exists()
+
+
+def test_cli_focused_names_bits_from_its_config_by_key(tmp_path, capsys):
+    cfg = tmp_path / "focused.cfg"
+    cfg.write_text("bits = 0\n")
+    out = tmp_path / "o"
+    assert main(["focused", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bits must lie in 1..64, got 0\n"
     assert not out.exists()
 
 

@@ -486,9 +486,7 @@ def test_lane_stack_scan_keeps_its_keys_when_the_widest_lane_retires():
         next(dynamics.first_revisit(net, st.v[None], st.s[None], 100))[1:]
         for net, st in zip(nets, starts)
     ]
-    stack = LaneStack(6, len(nets), 1, SATURATE, RESET_NONE)
-    for b, net in enumerate(nets):
-        stack.put(b, 1, net)
+    stack = LaneStack((net, 1) for net in nets)
     v = np.stack([st.v for st in starts])
     s = np.stack([st.s for st in starts])
     scanned = list(dynamics.first_revisit(stack, v, s, 100))

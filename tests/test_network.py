@@ -290,10 +290,9 @@ def test_lane_stack_steps_each_lane_by_its_network(overflow, reset):
     assert [n._wt_exec.dtype for n in nets] == [
         np.float32, np.float64, np.float32, np.int64, np.float32
     ]
-    stack = LaneStack(4, 7, 2, overflow, reset)
+    stack = LaneStack([(nets[0], 1), (nets[1], 2), (nets[2], 1), (nets[3], 1),
+                       (nets[4], 2)])
     lanes = [0, 1, 1, 2, 3, 4, 4]
-    for start, i in enumerate(lanes):
-        stack.put(start, 1, nets[i])
     assert stack._wt_exec.dtype == np.int64
     starts = [initial_state(nets[i], seed=derive_seed(43, b)) for b, i in enumerate(lanes)]
     v = np.stack([st.v for st in starts])
@@ -308,11 +307,35 @@ def test_lane_stack_steps_each_lane_by_its_network(overflow, reset):
             stack, v, s, lanes = (
                 stack.take_lanes(keep), v[keep], s[keep], [lanes[k] for k in keep]
             )
-    wide = Network(n=4, weights=np.zeros((4, 4), dtype=np.int64),
-                   thresholds=np.ones(4, dtype=np.int64), leak_k=2,
-                   domain=IntegerDomain(64, SIGNED, overflow), reset_mode=reset)
-    with pytest.raises(ValueError, match="object-mode"):
-        stack.put(0, 1, wide)
+
+
+def lane_net(n=4, leak_k=2, overflow=SATURATE, reset=RESET_NONE, bits=8):
+    return Network(
+        n=n,
+        weights=generate_topology(n, 0.9, -4, 4, seed=derive_seed(44, n)),
+        thresholds=sample_thresholds(n, 1, 9, seed=derive_seed(45, n)),
+        leak_k=leak_k,
+        domain=IntegerDomain(bits, SIGNED, overflow),
+        reset_mode=reset,
+    )
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        ({"n": 5}, "lanes must share n, leak_k and the modes"),
+        ({"leak_k": 3}, "lanes must share n, leak_k and the modes"),
+        ({"overflow": WRAP}, "lanes must share n, leak_k and the modes"),
+        ({"reset": RESET_SUBTRACT}, "lanes must share n, leak_k and the modes"),
+        # signed 64-bit saturation steps in object mode
+        ({"bits": 64}, "an object-mode network cannot join a lane stack"),
+    ],
+)
+def test_lane_stack_refuses_networks_it_cannot_step_together(other, message, first):
+    pair = [(lane_net(), 2), (lane_net(**other), 1)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LaneStack(pair if first else pair[::-1])
 
 
 @pytest.mark.parametrize("reset", [RESET_NONE, RESET_SUBTRACT])
